@@ -3,10 +3,10 @@
 GO      ?= go
 # BENCH_OUT is the perf snapshot consumed by CI artifacts and by future
 # perf PRs; the _N suffix tracks the PR number that produced it.
-BENCH_OUT ?= BENCH_10.json
+BENCH_OUT ?= BENCH_12.json
 # BENCH_PREV is the previous PR's committed snapshot; bench-check fails when
 # a serial-path benchmark regressed beyond the benchguard tolerance.
-BENCH_PREV ?= BENCH_9.json
+BENCH_PREV ?= BENCH_10.json
 
 .PHONY: test race bench bench-check fuzz-short scenarios mitigate trace faults fleet serve obs
 
@@ -57,12 +57,10 @@ trace:
 #	jq -r 'select(.Action=="output") | .Output' BENCH_4.json > new.txt
 #	benchstat old.txt new.txt
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineEventThroughput|BenchmarkTransportThroughput|BenchmarkHDDElevator|BenchmarkFairShareScheduler|BenchmarkTraceRecord' \
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineEventThroughput|BenchmarkEngineHeapChurn|BenchmarkTransportThroughput|BenchmarkHDDElevator|BenchmarkFairShareScheduler|BenchmarkTraceRecord' \
 		-benchmem -benchtime 0.5s -count 5 -json . > $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench 'BenchmarkFigure2SyncOn$$' \
 		-benchmem -benchtime 1x -count 3 -json . >> $(BENCH_OUT)
-	$(GO) test -run '^$$' -bench 'BenchmarkSharded(Figure2|Scenario)' \
-		-benchtime 1x -count 3 -json . >> $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetScenario$$' \
 		-benchtime 1x -count 3 -json . >> $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench 'BenchmarkWhatIfCache(Hit|Miss)' \
@@ -73,11 +71,10 @@ bench:
 
 # bench-check guards the serial-path perf trajectory: the previous PR's
 # committed snapshot against the fresh one, with a generous cross-machine
-# tolerance (see cmd/benchguard). Sharded benches are excluded — their
-# wall-clock depends on the runner's core count, not on code quality.
+# tolerance (see cmd/benchguard).
 bench-check:
 	$(GO) run ./cmd/benchguard -old $(BENCH_PREV) -new $(BENCH_OUT) \
-		-match '^Benchmark(EngineEventThroughput|TransportThroughput|HDDElevator|FairShareScheduler|TraceRecord|Figure2SyncOn|FleetScenario|WhatIfCacheHit|WhatIfCacheMiss|SamplerTick|SpanRecord)'
+		-match '^Benchmark(EngineEventThroughput|EngineHeapChurn|TransportThroughput|HDDElevator|FairShareScheduler|TraceRecord|Figure2SyncOn|FleetScenario|WhatIfCacheHit|WhatIfCacheMiss|SamplerTick|SpanRecord)'
 
 # fuzz-short gives each native fuzz target a brief coverage-guided run on
 # top of its committed seed corpus — long enough to catch a fresh parser
@@ -88,32 +85,31 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz 'FuzzPopulationSpec' -fuzztime 20s ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz 'FuzzTraceFormat' -fuzztime 20s ./internal/trace/
 
-# fleet smoke: run the generated 1024-tenant population builtin (sharded,
-# under the race detector — the fleet fan-out is the widest concurrent
-# surface) at smoke scale. Smoke keeps the tenant count and class mix and
+# fleet smoke: run the generated 1024-tenant population builtin (under the
+# race detector — the fleet fan-out is the widest concurrent surface) at
+# smoke scale. Smoke keeps the tenant count and class mix and
 # shrinks per-tenant weight, so this still exercises a ≥1000-app launch.
 fleet:
-	$(GO) run -race ./cmd/scenarios -smoke -run fleet -shards 4
+	$(GO) run -race ./cmd/scenarios -smoke -run fleet
 
 # faults smoke: run every fault-injection builtin on HDD at smoke scale
 # (faulted vs healthy-twin comparison plus availability telemetry), then
-# re-check the sharded fault kernel against the serial oracle under the
-# race detector — the crash/retry path is the newest concurrency surface.
+# re-check the fault golden under the race detector — the crash/retry path
+# is the newest concurrency surface.
 faults:
 	$(GO) run ./cmd/scenarios -faults -smoke -backend hdd -run all
-	$(GO) test -race -run 'FaultShardConformance|FaultScenarioShardConformance' \
-		./internal/core/ ./internal/scenario/
+	$(GO) test -race -run 'TestGoldenFaults' ./internal/scenario/
 
 # obs smoke: the observability layer end to end. Runs the aggressor-victim
 # builtin with -timeline attached (sampled per-app/per-server series plus
-# the span breakdown on stdout), then re-checks the timeline golden and the
-# shard/concurrency conformance under the race detector, and finally the
-# /metrics + /healthz exposition contract of the what-if service (scrape
-# must be non-empty, line-parseable 0.0.4 text carrying the serving
-# counters and, after a session, the last-run simulation series).
+# the span breakdown on stdout), then re-checks the timeline golden under
+# the race detector, and finally the /metrics + /healthz exposition
+# contract of the what-if service (scrape must be non-empty,
+# line-parseable 0.0.4 text carrying the serving counters and, after a
+# session, the last-run simulation series).
 obs:
 	$(GO) run ./cmd/scenarios -smoke -backend hdd -run aggressor-victim -timeline
-	$(GO) test -race -count=1 -run 'TestGoldenTimeline|TestTimelineShardConformance' ./internal/scenario/
+	$(GO) test -race -count=1 -run 'TestGoldenTimeline' ./internal/scenario/
 	$(GO) test -race -count=1 -run 'TestMetrics|TestHealthzUptime' ./internal/whatif/
 
 # serve smoke: the end-to-end what-if service contract, under the race

@@ -19,7 +19,6 @@ package repro
 // and stay serial.
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -269,68 +268,12 @@ func BenchmarkReadInterference(b *testing.B) {
 	}
 }
 
-// --- Sharded event kernel ---------------------------------------------------
-
-// shardCounts is the shard axis of the sharded-kernel benches. shards=1 is
-// the serial determinism oracle; the other counts split the servers over
-// worker shards. Results are bit-identical at every count (the scenario
-// conformance suite pins this), so these benches measure pure wall-clock:
-// the speedup on multi-core hosts, and the window-synchronization overhead
-// on single-core hosts, where ShardSet.Run degenerates to the sequential
-// window loop.
-var shardCounts = []int{1, 2, 4}
-
-// BenchmarkShardedFigure2 runs the paper's Figure 2 contended co-run (two
-// contiguous writers, sync on) as ONE simulation per iteration at each
-// shard count — the single-big-scenario case the Shards knob exists for.
-// Scale divisor 4 keeps 3 servers so shards=4 reaches the maximal
-// clients+servers split.
-func BenchmarkShardedFigure2(b *testing.B) {
-	cfg := paper.Config(4)
-	apps := core.TwoAppSpecs(cfg, paper.ProcsPerApp(cfg), cfg.CoresPerNode, paper.ContigSpec())
-	for _, k := range shardCounts {
-		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				res := core.PrepareSharded(cfg, apps, k).Run()
-				events = res.Diag.Events
-			}
-			b.ReportMetric(float64(events), "events")
-		})
-	}
-}
-
-// BenchmarkShardedScenario runs a 12-server four-writer pile-up — enough
-// server shards for the 4-shard split to matter on multi-core hosts — as
-// one simulation per iteration at each shard count.
-func BenchmarkShardedScenario(b *testing.B) {
-	cfg := cluster.Default() // full 12-server platform
-	wl := workload.Spec{BlockBytes: 16 << 20, TransferSize: 256 << 10}
-	var apps []core.AppSpec
-	for i := 0; i < 4; i++ {
-		apps = append(apps, core.AppSpec{
-			Name: core.AppName(i), Procs: 32,
-			FirstNode: i * 2, ProcsPerNode: 16, Workload: wl,
-		})
-	}
-	for _, k := range shardCounts {
-		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				res := core.PrepareSharded(cfg, apps, k).Run()
-				events = res.Diag.Events
-			}
-			b.ReportMetric(float64(events), "events")
-		})
-	}
-}
-
 // --- Fleet-scale population --------------------------------------------------
 
 // BenchmarkFleetScenario runs the generated 1024-tenant population builtin
 // (internal/population) at smoke scale through the fleet summarizer: one
 // 1024-app co-run, one alone baseline per distinct tenant shape and the
-// seeded pairwise sample. Parallelism and shards are forced to 1 so ns/op
+// seeded pairwise sample. Parallelism is forced to 1 so ns/op
 // measures the serial simulation path independent of the runner's core
 // count — this is the largest single simulation in the bench suite and the
 // one whose wall-clock tracks fleet-scale usability.
@@ -344,7 +287,7 @@ func BenchmarkFleetScenario(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := core.Runner{Parallelism: 1, Shards: 1}
+	pool := core.Runner{Parallelism: 1}
 	for i := 0; i < b.N; i++ {
 		f, err := scenario.RunFleet(s, backends[0], pool)
 		if err != nil {
@@ -374,6 +317,41 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 	b.ResetTimer()
 	e.Schedule(0, tick)
 	e.Run()
+}
+
+// heapChurn reschedules itself on every event with a delay drawn from a
+// cheap LCG, so each pop is followed by a push to a random heap position.
+type heapChurn struct {
+	e     *sim.Engine
+	state uint64
+	left  int
+}
+
+func (h *heapChurn) OnEvent(op uint32, a, b int64) {
+	if h.left <= 0 {
+		return
+	}
+	h.left--
+	h.state = h.state*6364136223846793005 + 1442695040888963407
+	h.e.ScheduleCall(sim.Time(h.state>>52), h, 0, 0, 0)
+}
+
+// BenchmarkEngineHeapChurn measures one pop plus one push at a fixed
+// pending depth of 4096 — the sift cost EngineEventThroughput (one pending
+// event) never sees. Steady state must allocate nothing.
+func BenchmarkEngineHeapChurn(b *testing.B) {
+	const depth = 4096
+	e := sim.NewEngine()
+	h := &heapChurn{e: e, state: 1, left: depth}
+	for i := 0; i < depth; i++ {
+		h.OnEvent(0, 0, 0)
+	}
+	h.left = b.N
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
 }
 
 func BenchmarkTransportThroughput(b *testing.B) {

@@ -78,7 +78,6 @@ func realMain() error {
 	coarse := flag.Bool("coarse", false, "use coarse 5-point delta grids")
 	format := flag.String("format", "ascii", "output format: ascii or tsv")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulations (1 = serial)")
-	shards := flag.Int("shards", 0, "event-kernel shards per simulation (0/1 = serial oracle); results are bit-identical at any value")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the campaign to `file`")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after the campaign) to `file`")
 	flag.Parse()
@@ -99,7 +98,7 @@ func realMain() error {
 	if *coarse {
 		kind = paper.GridCoarse
 	}
-	paper.Pool = core.Runner{Parallelism: *jobs, Shards: *shards}
+	paper.Pool = core.Runner{Parallelism: *jobs}
 	w := os.Stdout
 	run := newRunner(w, *format, *scale, kind)
 
@@ -390,7 +389,7 @@ func (r *runner) faults() error {
 			return err
 		}
 		for _, b := range axis {
-			fc, err := scenario.CompareFaults(s, b, paper.Pool.Shards)
+			fc, err := scenario.CompareFaults(s, b)
 			if err != nil {
 				return err
 			}

@@ -24,8 +24,7 @@
 // depth, LASSi-style risk), per-server device/NIC series, and the
 // per-app "where did the time go" span breakdown (network vs queue-wait
 // vs service). -timeline-interval/-timeline-samples size the series,
-// -timeline-spans the span buffers. Output is byte-identical at any
-// -shards value.
+// -timeline-spans the span buffers.
 //
 // -faults runs each selected fault scenario (one with a "faults" block —
 // a deterministic timeline of server crashes, degraded devices and link
@@ -96,7 +95,6 @@ func realMain() error {
 		tlSpans  = flag.Int("timeline-spans", 1<<16, "per-server span buffer capacity of -timeline (0 disables spans)")
 		tsv      = flag.Bool("tsv", false, "TSV output instead of aligned tables")
 		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulations (1 = serial)")
-		shards   = flag.Int("shards", 0, "event-kernel shards per simulation (0 = each spec's own knob, 1 = serial oracle); results are bit-identical at any value")
 	)
 	flag.Parse()
 
@@ -167,7 +165,7 @@ func realMain() error {
 	}
 
 	if *faults {
-		return runFaults(os.Stdout, specs, backends, *smoke, *shards, *tsv)
+		return runFaults(os.Stdout, specs, backends, *smoke, *tsv)
 	}
 
 	if *timeline {
@@ -176,10 +174,10 @@ func realMain() error {
 			Samples:  *tlCount,
 			SpanCap:  *tlSpans,
 		}
-		return runTimelines(os.Stdout, specs, backends, *smoke, *qosName, *shards, ocfg, *tsv)
+		return runTimelines(os.Stdout, specs, backends, *smoke, *qosName, ocfg, *tsv)
 	}
 
-	pool := core.Runner{Parallelism: *jobs, Shards: *shards}
+	pool := core.Runner{Parallelism: *jobs}
 	var all []*scenario.Result
 	var fleets []*scenario.FleetResult
 	for _, s := range specs {
@@ -275,7 +273,7 @@ func realMain() error {
 // error: asking for a fault comparison of a fault-free scenario is a typo,
 // not a no-op.
 func runFaults(w io.Writer, specs []scenario.Spec, backends []cluster.BackendKind,
-	smoke bool, shards int, tsv bool) error {
+	smoke bool, tsv bool) error {
 	ran := 0
 	for _, s := range specs {
 		if s.Faults == nil {
@@ -296,7 +294,7 @@ func runFaults(w io.Writer, specs []scenario.Spec, backends []cluster.BackendKin
 			}
 		}
 		for _, b := range axis {
-			fc, err := scenario.CompareFaults(s, b, shards)
+			fc, err := scenario.CompareFaults(s, b)
 			if err != nil {
 				return err
 			}
@@ -320,7 +318,7 @@ func runFaults(w io.Writer, specs []scenario.Spec, backends []cluster.BackendKin
 // scenarios are skipped (no co-run to observe) unless explicitly the only
 // selection, which is an error rather than silence.
 func runTimelines(w io.Writer, specs []scenario.Spec, backends []cluster.BackendKind,
-	smoke bool, qosName string, shards int, ocfg obs.Config, tsv bool) error {
+	smoke bool, qosName string, ocfg obs.Config, tsv bool) error {
 	if err := ocfg.Validate(); err != nil {
 		return err
 	}
@@ -345,7 +343,7 @@ func runTimelines(w io.Writer, specs []scenario.Spec, backends []cluster.Backend
 			}
 		}
 		for _, b := range axis {
-			res, err := scenario.RunTimeline(s, b, shards, ocfg)
+			res, err := scenario.RunTimeline(s, b, ocfg)
 			if err != nil {
 				return err
 			}

@@ -52,7 +52,6 @@ func main() {
 		queueLen     = flag.Int("queue", 64, "session queue bound (full queue answers 429)")
 		workers      = flag.Int("workers", 2, "sessions executing concurrently")
 		jobs         = flag.Int("j", 0, "simulation parallelism inside one session (0 = all cores)")
-		shards       = flag.Int("shards", 0, "default event-kernel shard override (0 = per-spec)")
 		maxBodyMB    = flag.Int("max-body-mb", 64, "request body cap, MiB")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "in-flight session drain budget on shutdown")
 		headerTO     = flag.Duration("read-header-timeout", 5*time.Second, "request-header read deadline (slowloris hardening)")
@@ -63,7 +62,7 @@ func main() {
 	if flag.NArg() > 0 {
 		usageErr(fmt.Sprintf("unexpected argument %q", flag.Arg(0)))
 	}
-	if err := validateFlags(*addr, *cacheMB, *queueLen, *workers, *jobs, *shards, *maxBodyMB, *drainTimeout, *headerTO, *debugAddr); err != nil {
+	if err := validateFlags(*addr, *cacheMB, *queueLen, *workers, *jobs, *maxBodyMB, *drainTimeout, *headerTO, *debugAddr); err != nil {
 		usageErr(err.Error())
 	}
 
@@ -76,7 +75,6 @@ func main() {
 		QueueLen:   *queueLen,
 		Workers:    *workers,
 		Jobs:       *jobs,
-		Shards:     *shards,
 		MaxBody:    int64(*maxBodyMB) << 20,
 	})
 
@@ -163,7 +161,7 @@ func newDebugMux() *http.ServeMux {
 // validateFlags range-checks every knob before anything is built, so a bad
 // value surfaces as a usage error rather than a panic or a silent
 // misconfiguration.
-func validateFlags(addr string, cacheMB, queueLen, workers, jobs, shards, maxBodyMB int, drain, headerTO time.Duration, debugAddr string) error {
+func validateFlags(addr string, cacheMB, queueLen, workers, jobs, maxBodyMB int, drain, headerTO time.Duration, debugAddr string) error {
 	host, port, err := net.SplitHostPort(addr)
 	switch {
 	case err != nil:
@@ -178,8 +176,6 @@ func validateFlags(addr string, cacheMB, queueLen, workers, jobs, shards, maxBod
 		return fmt.Errorf("-workers must be >= 1")
 	case jobs < 0:
 		return fmt.Errorf("-j must be >= 0 (0 = all cores)")
-	case shards < 0:
-		return fmt.Errorf("-shards must be >= 0 (0 = per-spec)")
 	case maxBodyMB < 1:
 		return fmt.Errorf("-max-body-mb must be >= 1")
 	case drain <= 0:

@@ -39,7 +39,7 @@
 // cmd/scenarios -timeline and, for the daemon, a Prometheus-text
 // GET /metrics plus an opt-in expvar/pprof debug listener; observation
 // never perturbs results (observed runs are byte-identical to
-// unobserved ones, at any shard count). See README.md for a tour,
+// unobserved ones). See README.md for a tour,
 // DESIGN.md for the system inventory (including the replay determinism
 // contract), EXPERIMENTS.md for paper-versus-measured results and
 // SCENARIOS.md for the scenario engine, the mitigation Pareto view and

@@ -110,7 +110,7 @@ type Config struct {
 	// into the platform. It activates the whole fault surface: every
 	// server's device is wrapped in a storage.Degraded, the client RPC
 	// layer switches to deadline/retry (Faults.Retry), and the plan's
-	// events are scheduled at build time on each target server's shard.
+	// events are scheduled at build time.
 	// nil builds a platform bit-identical to a fault-free one.
 	Faults *fault.Plan
 }
@@ -202,11 +202,6 @@ type Platform struct {
 	Rand   *sim.Rand
 	Fabric *netsim.Fabric
 	FS     *pfs.FileSystem
-
-	// Set is the shard synchronizer of a sharded build (nil for the serial
-	// oracle). E is then shard 0's engine — the shard owning clients, file
-	// system and coordination state.
-	Set *sim.ShardSet
 
 	// Nodes are the compute hosts; process i of an application placed on
 	// nodes [a..b] shares the NIC of node a + i/CoresPerNode.
@@ -302,7 +297,7 @@ func newBackend(e *sim.Engine, c Config) (raw, use storage.Device, deg *storage.
 
 // installFaults activates the fault surface of a freshly built platform:
 // the client retry policy and the plan's events, each scheduled at setup
-// time on the engine owning its target server. No-op without a fault plan.
+// time. No-op without a fault plan.
 func (pl *Platform) installFaults() {
 	p := pl.Cfg.Faults
 	if p == nil {
@@ -324,82 +319,6 @@ func (pl *Platform) installFaults() {
 		}
 	}
 	fault.Schedule(p, hooks)
-}
-
-// BuildSharded assembles the platform across `shards` independently-clocked
-// engines of one sim.ShardSet: shard 0 owns the clients, compute-node NICs,
-// file system and coordination state; shards 1..K-1 own the storage servers
-// (host NIC, device, cache, server logic) in contiguous blocks. The shard
-// count is clamped to 1+Servers (no point in more shards than servers);
-// shards <= 1 — or a transport with no safe lookahead — falls back to the
-// serial Build, bit-identical to always.
-//
-// Construction order (host IDs, engine wiring aside, random-stream forks)
-// matches Build exactly, which is what makes sharded runs reproduce serial
-// results bit for bit.
-func BuildSharded(c Config, shards int) *Platform {
-	if shards > 1+c.Servers {
-		shards = 1 + c.Servers
-	}
-	la := c.Net.Lookahead()
-	if shards <= 1 || la <= 0 {
-		return Build(c)
-	}
-	if err := c.Validate(); err != nil {
-		panic(err)
-	}
-	set := sim.NewShardSet(shards, la)
-	e := set.Engine(0)
-	fab := netsim.NewFabric(e, c.Net)
-	pl := &Platform{
-		Cfg:    c,
-		E:      e,
-		Rand:   sim.NewRand(c.Seed),
-		Fabric: fab,
-		Set:    set,
-	}
-	sp := c.Srv
-	sp.Sync = c.Sync
-	srvShards := shards - 1
-	for i := 0; i < c.Servers; i++ {
-		se := set.Engine(1 + i*srvShards/c.Servers)
-		host := fab.NewHostOn(se, fmt.Sprintf("srv%d", i), c.ServerNIC, c.PerSeg)
-		dev, sdev, deg := newBackend(se, c)
-		var cache *storage.WriteCache
-		if c.Sync == pfs.SyncOff {
-			cache = storage.NewWriteCache(se, c.Cache, sdev)
-		}
-		pl.Servers = append(pl.Servers, pfs.NewServer(se, i, host, sdev, cache, sp))
-		pl.Devices = append(pl.Devices, dev)
-		pl.Caches = append(pl.Caches, cache)
-		pl.Degraded = append(pl.Degraded, deg)
-	}
-	for i := 0; i < c.ComputeNodes; i++ {
-		pl.Nodes = append(pl.Nodes, fab.NewHost(fmt.Sprintf("node%d", i), c.ClientNIC, c.PerSeg))
-	}
-	pl.FS = pfs.NewFileSystem(e, fab, pl.Servers)
-	pl.FS.Rand = pl.Rand.Fork()
-	pl.FS.IssueJitter = c.IssueJitter
-	pl.installFaults()
-	return pl
-}
-
-// Run executes the simulation to completion — across all shards for a
-// sharded build, on the single engine otherwise — and returns the end time.
-func (pl *Platform) Run() sim.Time {
-	if pl.Set != nil {
-		return pl.Set.Run()
-	}
-	return pl.E.Run()
-}
-
-// EventsExecuted returns the total executed event count (summed over shards
-// for a sharded build; equal to the serial count by construction).
-func (pl *Platform) EventsExecuted() uint64 {
-	if pl.Set != nil {
-		return pl.Set.Executed()
-	}
-	return pl.E.Executed()
 }
 
 // DeviceBytes sums bytes written to all devices.

@@ -29,11 +29,6 @@ type DeltaSpec struct {
 	// equal len(Apps).
 	StartOffsets []sim.Time
 	Deltas       []sim.Time
-	// Shards selects the event-kernel parallelism of each simulation:
-	// 0 or 1 runs the serial determinism oracle, K >= 2 runs K
-	// independently-clocked shards (see cluster.BuildSharded). Results are
-	// bit-identical at every value; only wall-clock time changes.
-	Shards int
 }
 
 // validate panics on structurally broken specs (the same contract as
@@ -97,7 +92,7 @@ func RunDelta(spec DeltaSpec) *DeltaGraph {
 func runAlone(spec DeltaSpec, i int) sim.Time {
 	app := spec.Apps[i]
 	app.Start = 0
-	x := PrepareSharded(spec.Cfg, []AppSpec{app}, spec.Shards)
+	x := Prepare(spec.Cfg, []AppSpec{app})
 	res := x.Run()
 	return res.Apps[0].Elapsed
 }
@@ -137,7 +132,7 @@ func (s DeltaSpec) AppsAt(d sim.Time) []AppSpec {
 func runPoint(spec DeltaSpec, d sim.Time) DeltaPoint {
 	n := len(spec.Apps)
 	apps := spec.AppsAt(d)
-	x := PrepareSharded(spec.Cfg, apps, spec.Shards)
+	x := Prepare(spec.Cfg, apps)
 	res := x.Run()
 	pt := DeltaPoint{
 		Delta:      d,

@@ -110,18 +110,9 @@ type Experiment struct {
 	obs *obs.Collector
 }
 
-// Prepare builds the platform and applications on the serial engine.
+// Prepare builds the platform and applications.
 func Prepare(cfg cluster.Config, specs []AppSpec) *Experiment {
-	return PrepareSharded(cfg, specs, 1)
-}
-
-// PrepareSharded is Prepare on a sharded platform: `shards` event engines
-// (clients on shard 0, servers spread over the rest — see
-// cluster.BuildSharded). shards <= 1 is the bit-identical serial path;
-// every shard count produces bit-identical results by the sharded kernel's
-// determinism contract, just faster.
-func PrepareSharded(cfg cluster.Config, specs []AppSpec, shards int) *Experiment {
-	pl := cluster.BuildSharded(cfg, shards)
+	pl := cluster.Build(cfg)
 	x := &Experiment{Platform: pl}
 	for ai, spec := range specs {
 		if err := spec.Validate(cfg); err != nil {
@@ -339,7 +330,7 @@ type RunResult struct {
 // collects results.
 func (x *Experiment) Run() RunResult {
 	x.launch()
-	x.Platform.Run()
+	x.Platform.E.Run()
 	return x.collect()
 }
 
@@ -390,7 +381,7 @@ func (x *Experiment) collect() RunResult {
 	av.LinkDrops = pl.Fabric.TotalLinkDrops()
 	ca := pl.FS.TotalClientAvail()
 	av.RPCTimeouts, av.Retries, av.Failures = ca.Timeouts, ca.Retries, ca.Failures
-	res.Diag.Events = pl.EventsExecuted()
+	res.Diag.Events = pl.E.Executed()
 	if x.obs != nil {
 		names := make([]string, len(x.Apps))
 		for i, app := range x.Apps {

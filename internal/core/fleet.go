@@ -73,10 +73,9 @@ func (f *FleetResult) AloneOf(i int) sim.Time { return f.Alone[f.ShapeOf[i]] }
 // co-run at δ=0 (arrival offsets applied via AppsAt, like a δ point), the
 // deduplicated shape baselines, and opts.SamplePairs sampled pair co-runs —
 // all independent simulations flattened onto the pool, so the result is
-// bit-identical at every Parallelism and every shard count.
+// bit-identical at every Parallelism.
 func (r Runner) RunFleet(spec DeltaSpec, opts FleetOpts) *FleetResult {
 	spec.validate()
-	spec.Shards = r.shardsFor(spec)
 	n := len(spec.Apps)
 	coApps := spec.AppsAt(0)
 
@@ -115,17 +114,17 @@ func (r Runner) RunFleet(spec DeltaSpec, opts FleetOpts) *FleetResult {
 	r.ForEach(1+len(reps)+len(pairs), func(t int) {
 		switch {
 		case t == 0:
-			f.CoRun = PrepareSharded(spec.Cfg, coApps, spec.Shards).Run()
+			f.CoRun = Prepare(spec.Cfg, coApps).Run()
 		case t <= len(reps):
 			u := t - 1
-			x := PrepareSharded(spec.Cfg, []AppSpec{reps[u]}, spec.Shards)
+			x := Prepare(spec.Cfg, []AppSpec{reps[u]})
 			f.Alone[u] = x.Run().Apps[0].Elapsed
 		default:
 			k := t - 1 - len(reps)
 			f.Pairs[k] = PairSample{
 				I:       pairs[k].i,
 				J:       pairs[k].j,
-				Elapsed: runPair(spec.Cfg, spec.Apps, pairs[k], spec.Shards),
+				Elapsed: runPair(spec.Cfg, spec.Apps, pairs[k]),
 			}
 		}
 	})

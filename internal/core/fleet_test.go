@@ -2,7 +2,7 @@ package core
 
 // Tests for the fleet summarizer: shape-deduplicated baselines are only
 // sound if an alone run ignores placement, the whole result must be
-// bit-identical across Runner parallelism and shard counts, and the IFs
+// bit-identical across Runner parallelism, and the IFs
 // must agree with the exhaustive δ-graph path on sets small enough to
 // afford both.
 
@@ -124,19 +124,16 @@ func TestFleetPairSamplesMatchPairwise(t *testing.T) {
 	}
 }
 
-// TestFleetDeterministicAcrossPoolAndShards: the metamorphic core property —
-// one fleet result, bit-identical at every Runner.Parallelism and every
-// shard count.
-func TestFleetDeterministicAcrossPoolAndShards(t *testing.T) {
+// TestFleetDeterministicAcrossPool: the metamorphic core property — one
+// fleet result, bit-identical at every Runner.Parallelism.
+func TestFleetDeterministicAcrossPool(t *testing.T) {
 	spec := fleetSpecForTest()
 	opts := FleetOpts{SamplePairs: 4, SampleSeed: 3}
-	ref := Runner{Parallelism: 1, Shards: 1}.RunFleet(spec, opts)
+	ref := Runner{Parallelism: 1}.RunFleet(spec, opts)
 	for _, par := range []int{1, runtime.GOMAXPROCS(0)} {
-		for _, shards := range []int{1, 2, 4} {
-			got := Runner{Parallelism: par, Shards: shards}.RunFleet(spec, opts)
-			if !reflect.DeepEqual(got, ref) {
-				t.Fatalf("parallelism %d shards %d diverged from the serial oracle", par, shards)
-			}
+		got := Runner{Parallelism: par}.RunFleet(spec, opts)
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("parallelism %d diverged from the serial run", par)
 		}
 	}
 }

@@ -95,11 +95,11 @@ func (r Runner) RunPairwiseFrom(cfg cluster.Config, apps []AppSpec, alone []sim.
 		if t < base {
 			app := apps[t]
 			app.Start = 0
-			x := PrepareSharded(cfg, []AppSpec{app}, r.Shards)
+			x := Prepare(cfg, []AppSpec{app})
 			m.Alone[t] = x.Run().Apps[0].Elapsed
 			return
 		}
-		elapsed[t-base] = runPair(cfg, apps, pairs[t-base], r.Shards)
+		elapsed[t-base] = runPair(cfg, apps, pairs[t-base])
 	})
 	m.fill(pairs, elapsed)
 	return m
@@ -112,7 +112,6 @@ func (r Runner) RunPairwiseFrom(cfg cluster.Config, apps []AppSpec, alone []sim.
 // RunPairwiseFrom(…, graph.Alone); only the wall-clock differs.
 func (r Runner) RunDeltaPairwise(spec DeltaSpec) (*DeltaGraph, *IFMatrix) {
 	spec.validate()
-	spec.Shards = r.shardsFor(spec)
 	n := len(spec.Apps)
 	g := &DeltaGraph{
 		Alone:  make([]sim.Time, n),
@@ -129,7 +128,7 @@ func (r Runner) RunDeltaPairwise(spec DeltaSpec) (*DeltaGraph, *IFMatrix) {
 			g.Points[t-n] = runPoint(spec, spec.Deltas[t-n])
 		default:
 			k := t - n - len(spec.Deltas)
-			elapsed[k] = runPair(spec.Cfg, spec.Apps, pairs[k], spec.Shards)
+			elapsed[k] = runPair(spec.Cfg, spec.Apps, pairs[k])
 		}
 	})
 	for i := range g.Points {
@@ -174,10 +173,10 @@ func newIFMatrix(apps []AppSpec) *IFMatrix {
 }
 
 // runPair co-runs one application pair at δ=0 and returns both elapsed times.
-func runPair(cfg cluster.Config, apps []AppSpec, p appPair, shards int) [2]sim.Time {
+func runPair(cfg cluster.Config, apps []AppSpec, p appPair) [2]sim.Time {
 	a, b := apps[p.i], apps[p.j]
 	a.Start, b.Start = 0, 0
-	res := PrepareSharded(cfg, []AppSpec{a, b}, shards).Run()
+	res := Prepare(cfg, []AppSpec{a, b}).Run()
 	return [2]sim.Time{res.Apps[0].Elapsed, res.Apps[1].Elapsed}
 }
 

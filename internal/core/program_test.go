@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -34,53 +33,27 @@ func jitterPrograms(cfg cluster.Config) []AppSpec {
 	return apps
 }
 
-// TestProgramJitterShardIndependence pins the random-stream ownership rule
-// of the sharded kernel: every generator that feeds a simulation — the
-// rank-local program jitter streams (seeded only by Program.Seed) and the
-// platform's FS.Rand issue-jitter fork — lives on shard 0 with the clients
-// that draw from it, so the draw sequences cannot depend on how servers
-// are spread over shards. The observable consequence tested here: runs of
-// seeded multi-phase programs with issue jitter active are bit-identical
-// at every shard count.
-func TestProgramJitterShardIndependence(t *testing.T) {
-	cfg := cluster.Default().Scale(8)
-	if cfg.IssueJitter <= 0 {
-		t.Fatal("test needs issue jitter active to exercise FS.Rand")
-	}
-	apps := jitterPrograms(cfg)
-	want := ""
-	for _, k := range []int{1, 2, 3, 1 + cfg.Servers} {
-		res := PrepareSharded(cfg, apps, k).Run()
-		got := fmt.Sprintf("%+v", res)
-		if k == 1 {
-			want = got
-			continue
-		}
-		if got != want {
-			t.Errorf("shards=%d: program jitter draws depend on shard placement:\n got %s\nwant %s", k, got, want)
-		}
-	}
-}
-
-// TestProgramJitterSeedOnly checks the other half of the stream contract:
-// a program's jitter sequence is a function of its Seed alone. Swapping
+// TestProgramJitterSeedOnly checks the random-stream contract of seeded
+// programs: a program's jitter sequence is a function of its Seed alone. Swapping
 // the co-runner's seed must not change the leading application's draw
 // sequence — its compute-phase schedule shifts only through contention,
 // which a solo run removes entirely. So two solo runs of the same seeded
 // program, embedded in differently-seeded experiments, must match exactly.
 func TestProgramJitterSeedOnly(t *testing.T) {
 	cfg := cluster.Default().Scale(8)
-	run := func(seed uint64, shards int) sim.Time {
+	if cfg.IssueJitter <= 0 {
+		t.Fatal("test needs issue jitter active to exercise FS.Rand")
+	}
+	run := func(seed uint64) sim.Time {
 		apps := jitterPrograms(cfg)[:1]
 		apps[0].Program.Seed = seed
-		res := PrepareSharded(cfg, apps, shards).Run()
-		return res.Apps[0].Elapsed
+		return Prepare(cfg, apps).Run().Apps[0].Elapsed
 	}
-	serial := run(11, 1)
-	if got := run(11, 3); got != serial {
-		t.Errorf("same seed, shards=3: elapsed %v != serial %v", got, serial)
+	first := run(11)
+	if got := run(11); got != first {
+		t.Errorf("same seed, second run: elapsed %v != first %v", got, first)
 	}
-	if got := run(47, 1); got == serial {
+	if got := run(47); got == first {
 		t.Errorf("different seeds produced identical elapsed %v — jitter stream not seed-driven", got)
 	}
 }

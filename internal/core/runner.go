@@ -29,23 +29,6 @@ type Runner struct {
 	// Parallelism is the maximum number of concurrent simulations.
 	// <= 0 selects runtime.GOMAXPROCS(0).
 	Parallelism int
-
-	// Shards overrides the event-kernel parallelism of every simulation the
-	// runner executes: 0 defers to each spec's own Shards knob, 1 forces the
-	// serial determinism oracle, K >= 2 forces K shards. Results are
-	// bit-identical at every setting (cluster.BuildSharded's contract).
-	// Shard-level and run-level parallelism multiply; sweeps with many
-	// independent runs usually want Parallelism, single big scenarios want
-	// Shards.
-	Shards int
-}
-
-// shardsFor resolves the effective shard count for one spec.
-func (r Runner) shardsFor(spec DeltaSpec) int {
-	if r.Shards != 0 {
-		return r.Shards
-	}
-	return spec.Shards
 }
 
 // workers resolves the effective pool size for n tasks.
@@ -101,7 +84,6 @@ func (r Runner) ForEach(n int, fn func(int)) {
 // core.RunDelta(spec); see the Runner type comment for why.
 func (r Runner) RunDelta(spec DeltaSpec) *DeltaGraph {
 	spec.validate()
-	spec.Shards = r.shardsFor(spec)
 	n := len(spec.Apps)
 	g := &DeltaGraph{
 		Alone:  make([]sim.Time, n),
@@ -144,7 +126,6 @@ func (r Runner) RunDeltas(specs []DeltaSpec) []*DeltaGraph {
 	r.ForEach(len(tasks), func(i int) {
 		tk := tasks[i]
 		sp := specs[tk.spec]
-		sp.Shards = r.shardsFor(sp)
 		g := graphs[tk.spec]
 		if tk.slot < len(sp.Apps) {
 			g.Alone[tk.slot] = runAlone(sp, tk.slot)

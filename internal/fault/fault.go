@@ -6,11 +6,9 @@
 // instead of wedging.
 //
 // A Plan is pure data — absolute event times and typed parameters — so the
-// same plan injected into a serial platform and into any sharded build
-// produces bit-identical simulations: every event is scheduled at setup
-// time on the engine that owns the target server's state (its shard), and
-// all cross-shard consequences travel on the simulation's existing post
-// mechanism under the lookahead contract. The package deliberately knows
+// same plan injected into the same platform produces bit-identical
+// simulations: every event is scheduled at setup time, before the
+// simulation runs. The package deliberately knows
 // nothing about pfs, netsim or storage; the platform assembly layer
 // (internal/cluster) binds each event to its target through Hooks.
 package fault
@@ -252,8 +250,8 @@ func (p *Plan) Validate(servers int) error {
 	return nil
 }
 
-// Hooks binds one server's fault surface: the engine owning the server's
-// state (its shard) and the callbacks the injector fires there. Any nil
+// Hooks binds one server's fault surface: the server's engine and the
+// callbacks the injector fires there. Any nil
 // callback makes the corresponding event kinds a no-op for that server.
 type Hooks struct {
 	E         *sim.Engine
@@ -267,11 +265,8 @@ type Hooks struct {
 
 // Schedule installs every event of the plan on its target server's engine.
 // It must be called at setup time (before the simulation runs): each event
-// is then a plain local event of the owning shard, stamped exactly like any
-// other setup-scheduled event, which is what makes fault timelines
-// reproduce bit-for-bit between the serial oracle and every shard count —
-// the injection itself never crosses a shard boundary; only its
-// consequences do, on the transport's existing post paths.
+// is then an ordinary event ordered like any other setup-scheduled event,
+// which is what makes fault timelines reproduce bit-for-bit.
 func Schedule(p *Plan, servers []Hooks) {
 	for _, ev := range p.Events {
 		h := servers[ev.Server]

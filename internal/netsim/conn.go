@@ -73,15 +73,6 @@ type Conn struct {
 	Trace *Trace // optional; set by probes
 }
 
-// srcE and dstE are the engines owning each side of the connection. With a
-// serial fabric both are the fabric's engine; under a sim.ShardSet the
-// client side (sender state) lives on the client host's shard and the
-// server side (receiver state) on the server host's shard, and every event
-// crossing sides goes through Post* with the side-to-side latency as its
-// lookahead.
-func (c *Conn) srcE() *sim.Engine { return c.Src.Egress.E }
-func (c *Conn) dstE() *sim.Engine { return c.Dst.Egress.E }
-
 // Event ops for the sim.Target dispatch. Per-segment and per-ACK callbacks
 // were previously closures capturing (seq, size) or (ack, rwnd) — one heap
 // allocation each, millions per figure run. The connection now implements
@@ -171,23 +162,8 @@ func (c *Conn) Send(m *Message) {
 	c.sendQ = append(c.sendQ, m)
 	mm := *m
 	mm.notified = false
-	// The receiver-side framing mirror is receiver-owned state: append it on
-	// the receiver's shard. The deferred cross-shard apply is invisible to
-	// the receiver — no byte of the message can arrive before one lookahead
-	// has passed, so notifyReadable and ReadHead cannot reach the mirrored
-	// entry until long after the next drain has delivered it.
-	if se, de := c.srcE(), c.dstE(); se == de {
-		c.rcvQ = append(c.rcvQ, &mm)
-	} else {
-		se.PostApply(de, c, 0, 0, &mm)
-	}
+	c.rcvQ = append(c.rcvQ, &mm) // the receiver's framing mirror
 	c.pump()
-}
-
-// OnApply implements sim.Applier: the receiver-shard landing point for the
-// framing mirror of Send.
-func (c *Conn) OnApply(a, b int64, data any) {
-	c.rcvQ = append(c.rcvQ, data.(*Message))
 }
 
 // pump transmits as many segments as the windows allow.
@@ -241,17 +217,13 @@ func (c *Conn) transmit(seq, size int64) {
 		c.Src.stats.LinkDrops++
 		return
 	}
-	// Reserve NIC service sender-side; the arrival at the receiver's switch
-	// port is a receiver-shard event (delivery time >= now + SwitchLatency,
-	// within the lookahead contract).
-	at := c.Src.Egress.Reserve(size)
-	c.srcE().PostCall(c.dstE(), at, c, opArrive, seq, size)
+	c.Src.Egress.SendCall(size, c, opArrive, seq, size)
 }
 
 // arriveAtPort is the segment reaching the receiver's switch port.
 func (c *Conn) arriveAtPort(seq, size int64) {
 	h := c.Dst
-	if h.lossyAt(c.dstE().Now()) {
+	if h.lossyAt(c.F.E.Now()) {
 		// Admin-down receiver link or loss-burst window: the segment is
 		// dropped before the port queue; the sender recovers via RTO.
 		h.stats.LinkDrops++
@@ -302,7 +274,7 @@ func (c *Conn) notifyReadable() {
 		m.notified = true
 		if c.OnReadable != nil {
 			c.notifyQ = append(c.notifyQ, m)
-			c.dstE().ScheduleCall(0, c, opReadable, 0, 0)
+			c.F.E.ScheduleCall(0, c, opReadable, 0, 0)
 		}
 	}
 }
@@ -331,8 +303,7 @@ func (c *Conn) sendAck() {
 	if c.Dst.down {
 		return // admin-down link: no reverse path either
 	}
-	de := c.dstE()
-	de.PostCall(c.srcE(), de.Now()+c.F.P.AckLatency, c, opAck, c.rcvNext, c.F.P.Rmem-c.Unread())
+	c.F.E.ScheduleCall(c.F.P.AckLatency, c, opAck, c.rcvNext, c.F.P.Rmem-c.Unread())
 }
 
 // handleAck runs at the sender when an ACK/window update arrives.
@@ -347,7 +318,7 @@ func (c *Conn) handleAck(ack, rwnd int64) {
 		advanced := ack - c.ackedSeq
 		c.ackedSeq = ack
 		c.stats.AckedBytes = c.ackedSeq
-		c.lastProg = c.srcE().Now()
+		c.lastProg = c.F.E.Now()
 		c.rto = c.F.P.RTOBase // progress resets backoff
 		// Window growth per ACKed segment-equivalent.
 		segs := float64(advanced) / float64(c.F.P.MSS)
@@ -386,9 +357,9 @@ func (c *Conn) armRTO() {
 		return
 	}
 	c.rtoArmed = true
-	c.lastProg = c.srcE().Now()
-	deadline := c.srcE().Now() + c.rto
-	c.srcE().AtCall(deadline, c, opRTO, int64(deadline), 0)
+	c.lastProg = c.F.E.Now()
+	deadline := c.F.E.Now() + c.rto
+	c.F.E.AtCall(deadline, c, opRTO, int64(deadline), 0)
 }
 
 // checkRTO fires when the timer expires; if progress happened meanwhile the
@@ -407,7 +378,7 @@ func (c *Conn) checkRTO(deadline sim.Time) {
 		// Progress since arming: re-arm relative to it.
 		c.rtoArmed = true
 		nd := c.lastProg + c.rto
-		c.srcE().AtCall(nd, c, opRTO, int64(nd), 0)
+		c.F.E.AtCall(nd, c, opRTO, int64(nd), 0)
 		return
 	}
 	// Timeout: go-back-N from the cumulative ACK with multiplicative
@@ -439,10 +410,7 @@ func (c *Conn) Reply(size int64, meta interface{}) {
 		c.Dst.stats.LinkDrops++
 		return
 	}
-	// Reserve the server's NIC, deliver on the client's shard (delivery is
-	// at least SwitchLatency away — the Egress line's propagation delay).
-	at := c.Dst.Egress.Reserve(size)
-	c.dstE().PostFunc(c.srcE(), at, func() {
+	c.Dst.Egress.Send(size, func() {
 		if c.OnReply != nil {
 			c.OnReply(meta)
 		}

@@ -51,19 +51,6 @@ type Params struct {
 	MaxCwnd float64
 }
 
-// Lookahead returns the conservative synchronization bound the transport
-// guarantees between hosts on different shards: every cross-host
-// interaction is delayed by at least the switch's propagation latency
-// (data segments, replies) or the reverse-path ACK latency (ACKs, window
-// updates), so the smaller of the two is a safe sim.ShardSet lookahead.
-func (p Params) Lookahead() sim.Time {
-	la := p.SwitchLatency
-	if p.AckLatency < la {
-		la = p.AckLatency
-	}
-	return la
-}
-
 // DefaultParams models the paper's 10 GbE fabric with Linux-like TCP
 // constants scaled to simulation granularity.
 func DefaultParams() Params {
@@ -108,8 +95,7 @@ type Host struct {
 	// down marks the link administratively down (fault injection): data
 	// segments to and from the host, its ACKs and its replies are dropped
 	// until it is cleared. lossUntil is the end of a loss-burst window
-	// during which only arriving data segments are dropped. Both are owned
-	// by the host's shard, like every other field.
+	// during which only arriving data segments are dropped.
 	down      bool
 	lossUntil sim.Time
 }
@@ -123,8 +109,7 @@ func (h *Host) PortQueued() int64 { return h.portQ }
 // SetLinkDown administratively downs (true) or restores (false) the host's
 // link. While down, every data segment crossing the link is dropped in
 // either direction, as are the host's ACKs and replies; senders recover
-// through RTO backoff once the link is restored. Must be called from the
-// host's own shard.
+// through RTO backoff once the link is restored.
 func (h *Host) SetLinkDown(down bool) { h.down = down }
 
 // LinkDown reports whether the link is administratively down.
@@ -132,7 +117,7 @@ func (h *Host) LinkDown() bool { return h.down }
 
 // StartLossBurst opens (or extends) a deterministic loss window: for d from
 // now, every data segment arriving at the host's port is dropped. ACKs and
-// replies still flow. Must be called from the host's own shard.
+// replies still flow.
 func (h *Host) StartLossBurst(d sim.Time) {
 	until := h.Egress.E.Now() + d
 	if until > h.lossUntil {
@@ -163,20 +148,11 @@ func NewFabric(e *sim.Engine, p Params) *Fabric {
 // NewHost adds a host whose NIC runs at bytesPerSec in each direction, with
 // perSeg fixed per-segment processing overhead (protocol/CPU cost).
 func (f *Fabric) NewHost(name string, bytesPerSec float64, perSeg sim.Time) *Host {
-	return f.NewHostOn(f.E, name, bytesPerSec, perSeg)
-}
-
-// NewHostOn adds a host whose NIC lines live on engine e — the shard that
-// owns the host in a sharded simulation. e must be the fabric's engine or
-// another shard of the same sim.ShardSet; all of a host's state (NIC lines,
-// port queue, stats, receiver-side connection state) is then owned by that
-// shard, and the transport routes cross-host events through the set.
-func (f *Fabric) NewHostOn(e *sim.Engine, name string, bytesPerSec float64, perSeg sim.Time) *Host {
 	h := &Host{
 		ID:      len(f.hosts),
 		Name:    name,
-		Egress:  &sim.Line{E: e, Rate: bytesPerSec, PerOp: perSeg, Latency: f.P.SwitchLatency},
-		Ingress: &sim.Line{E: e, Rate: bytesPerSec, PerOp: perSeg},
+		Egress:  &sim.Line{E: f.E, Rate: bytesPerSec, PerOp: perSeg, Latency: f.P.SwitchLatency},
+		Ingress: &sim.Line{E: f.E, Rate: bytesPerSec, PerOp: perSeg},
 		fabric:  f,
 	}
 	f.hosts = append(f.hosts, h)

@@ -36,7 +36,7 @@ func (t *Trace) record(c *Conn, k SampleKind) {
 		unit = 1
 	}
 	// All sample sites (transmit, handleAck, checkRTO) run sender-side.
-	t.Times = append(t.Times, c.srcE().Now())
+	t.Times = append(t.Times, c.F.E.Now())
 	t.Wnd = append(t.Wnd, float64(c.EffectiveWindow())/float64(unit))
 	t.Cwnd = append(t.Cwnd, c.cwnd)
 	t.Acked = append(t.Acked, c.ackedSeq)

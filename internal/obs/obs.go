@@ -6,12 +6,10 @@
 // queue-wait / service stages (pfs.Span).
 //
 // Determinism contract: every sample is an ordinary engine event
-// pre-scheduled at attach time on the engine that owns the sampled state —
-// server probes on the owning server's shard, client probes on shard 0 —
-// so a sharded run samples bit-for-bit what the serial oracle samples (the
-// same argument as fault.Schedule). Sampling is read-only: a probe event
-// schedules nothing and mutates no simulation state, so a run with
-// sampling attached produces byte-identical results to one without.
+// pre-scheduled at attach time, so a run samples the same instants every
+// time (the same argument as fault.Schedule). Sampling is read-only: a
+// probe event schedules nothing and mutates no simulation state, so a run
+// with sampling attached produces byte-identical results to one without.
 //
 // Allocation contract: all series storage and span buffers are sized at
 // attach time; the per-tick probe and the per-span record path are zero
@@ -133,7 +131,7 @@ func (sm *serverSampler) OnEvent(op uint32, a, b int64) {
 	}
 }
 
-// clientSampler owns the client-side series (shard 0).
+// clientSampler owns the client-side series.
 type clientSampler struct {
 	fs    *pfs.FileSystem
 	nApps int
@@ -183,8 +181,7 @@ type Collector struct {
 // Attach wires an observability layer into a freshly prepared platform:
 // it allocates all series storage, installs span sinks on every server,
 // and pre-schedules Samples probe ticks per engine — tick k fires at
-// (k+1)×Interval on the engine owning the probed state, which is what
-// makes sharded runs sample bit-for-bit what the serial oracle samples.
+// (k+1)×Interval, so the sample instants are fixed before the run starts.
 // Call between Prepare and Run; panics on an invalid config.
 func Attach(pl *cluster.Platform, nApps int, cfg Config) *Collector {
 	if err := cfg.Validate(); err != nil {

@@ -4,7 +4,7 @@ package obs_test
 // load-bearing ones: the per-tick probe and the per-span record path must
 // stay at zero allocations, or sampling would perturb the very hot paths
 // it is meant to watch. End-to-end sampling correctness (series content,
-// shard conformance) is pinned by the scenario-level timeline golden.
+// concurrent runs) is pinned by the scenario-level timeline golden.
 
 import (
 	"testing"

@@ -8,8 +8,7 @@ import (
 
 // SpanStats aggregates one application's request spans over a whole run —
 // the "where did the time go" decomposition. Sums are over every
-// completed request share on every server; order-independent, so the
-// aggregate is shard-invariant by construction.
+// completed request share on every server.
 type SpanStats struct {
 	Count      int64    `json:"count"`
 	Reads      int64    `json:"reads"`

@@ -135,7 +135,7 @@ type Server struct {
 	// counters are cheap); QoS schedulers and tests read it.
 	Tel *qos.Telemetry
 	// Spans, when non-nil, receives one Span per completed request share,
-	// emitted at reply time on this server's shard (see SpanSink). nil —
+	// emitted at reply time (see SpanSink). nil —
 	// the default — keeps the completion path span-free.
 	Spans SpanSink
 

@@ -12,10 +12,6 @@ import "repro/internal/sim"
 // remainder of the transfer). Requests killed by a server crash never
 // reach Reply and emit no span; the client retry layer's fresh attempt
 // does.
-//
-// Issue is stamped on the client's clock (shard 0), the other three on the
-// owning server's clock. The sharded kernel's determinism contract makes
-// all four bit-identical to the serial oracle at any shard count.
 type Span struct {
 	Issue  sim.Time
 	Arrive sim.Time
@@ -44,8 +40,8 @@ func (s Span) Service() sim.Time { return s.Reply - s.Grant }
 // Total is the whole issue-to-reply latency of this server's share.
 func (s Span) Total() sim.Time { return s.Reply - s.Issue }
 
-// SpanSink receives one Span per completed request share, emitted on the
-// owning server's shard at reply time. Implementations must be cheap and
+// SpanSink receives one Span per completed request share, emitted at reply
+// time. Implementations must be cheap and
 // allocation-free: the hook sits on the per-request completion path (see
 // internal/obs for the fixed-capacity collector). A nil Server.Spans (the
 // default) keeps the path span-free.

@@ -41,10 +41,9 @@ type srvReqState struct {
 
 	// Client-side retry state (only set on the retrying RPC path). sub is
 	// the sub-request this attempt belongs to; cgot counts replies received
-	// for this attempt. These fields are written exclusively by client-shard
-	// events, the fields above exclusively by server-shard events — the
-	// struct is the wire-visible descriptor both sides annotate, and the
-	// field-level split is what keeps it race-free under sharding.
+	// for this attempt. These fields are written by the client side, the
+	// fields above by the server side — the struct is the wire-visible
+	// descriptor both sides annotate.
 	sub  *subOp
 	cgot int
 }

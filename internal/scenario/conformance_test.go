@@ -1,101 +1,111 @@
 package scenario
 
-// Serial-oracle conformance suite for the sharded event kernel: every
-// built-in scenario, on both storage backends, must produce a canonical
-// result (goldenResult — completion vectors, δ points with diagnostics and
-// event counts, pairwise IF matrices) that is byte-for-byte identical at
-// every shard count. The serial engine (shards=1) is the oracle; the
-// sharded kernel is only allowed to change wall-clock time, never a single
-// output byte. Because sharded results equal serial results by
-// construction, the golden files never need regeneration for a shard-count
-// change — `-update` exists for intentional *model* changes only.
+// Serial-oracle conformance suite for engine isolation: every built-in
+// scenario, on both storage backends, must produce a canonical result
+// (goldenResult — completion vectors, δ points with diagnostics and event
+// counts, pairwise IF matrices) that is byte-for-byte identical whether
+// its runs execute one at a time or all at once on a parallel pool. Each
+// simulation owns its engine, so the pool is only allowed to change
+// wall-clock time, never a single output byte. The "Shard" in some test
+// names dates from a kernel that split one simulation over several
+// engines; these tests now hold the parallel pool to the serial oracle.
 
 import (
 	"crypto/sha256"
-	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 )
 
-// conformanceShardCounts returns the shard counts to check against the
-// serial oracle for a spec with the given server count: a minimal split, a
-// mid split, and the maximum useful count (clients + one shard per server).
-func conformanceShardCounts(servers int) []int {
-	return []int{2, 4, 1 + servers}
+// conformanceParallelism is the pool width checked against the serial
+// oracle: every core, and at least two so engines really do overlap.
+func conformanceParallelism() int {
+	if n := runtime.GOMAXPROCS(0); n > 2 {
+		return n
+	}
+	return 2
 }
 
 func TestShardConformance(t *testing.T) {
 	backends := []cluster.BackendKind{cluster.HDD, cluster.SSD}
-	builtins := Builtin()
 	if testing.Short() {
-		// -race CI smoke: one backend, every scenario, the max shard count
-		// (the config that crosses the most shard boundaries).
+		// -race CI smoke: one backend, every scenario.
 		backends = backends[:1]
 	}
-	for _, s := range builtins {
+	for _, s := range Builtin() {
 		for _, backend := range backends {
 			s, backend := s, backend
 			t.Run(s.Name+"@"+backend.String(), func(t *testing.T) {
 				t.Parallel()
 				smoke := s.Smoke()
-				servers := smoke.Servers
-				if servers == 0 {
-					servers = cluster.Default().Servers
-				}
-				serial, err := Run(smoke, backend, core.Runner{Parallelism: 1, Shards: 1})
+				serial, err := Run(smoke, backend, core.Runner{Parallelism: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
 				want := goldenResult(serial)
-				counts := conformanceShardCounts(servers)
-				if testing.Short() {
-					counts = counts[len(counts)-1:]
+				par := conformanceParallelism()
+				r, err := Run(smoke, backend, core.Runner{Parallelism: par})
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, k := range counts {
-					r, err := Run(smoke, backend, core.Runner{Parallelism: 1, Shards: k})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := goldenResult(r); got != want {
-						t.Errorf("shards=%d diverges from serial oracle (sha256 %x vs %x):\n got:\n%s\nwant:\n%s",
-							k, sha256.Sum256([]byte(got)), sha256.Sum256([]byte(want)), got, want)
-					}
+				if got := goldenResult(r); got != want {
+					t.Errorf("parallelism=%d diverges from serial oracle (sha256 %x vs %x):\n got:\n%s\nwant:\n%s",
+						par, sha256.Sum256([]byte(got)), sha256.Sum256([]byte(want)), got, want)
 				}
 			})
 		}
 	}
 }
 
-// TestShardKnobInSpec checks the declarative path: a scenario carrying the
-// "shards" knob runs sharded through the default Runner and still matches
-// the serial oracle bit-for-bit.
+// shardKnobSpecs are scenario documents that still carry the removed
+// "shards" knob, which once selected how many engines one simulation was
+// split over. A synthetic scenario and a trace scenario both have to fail.
+var shardKnobSpecs = []struct{ name, body string }{
+	{"synthetic", `{"name":"x","shards":4,"apps":[{"procs":2,"block_mb":4}]}`},
+	{"trace", `{"name":"t","trace":{"path":"x"},"shards":2}`},
+}
+
+// TestShardKnobInSpec checks the declarative path: a spec carrying the
+// removed "shards" knob is a parse error naming the field, never a spec
+// that silently runs without it. The same document minus the knob parses,
+// so the knob alone is what gets rejected.
 func TestShardKnobInSpec(t *testing.T) {
-	s := Builtin()[0].Smoke()
-	serial, err := Run(s, cluster.HDD, core.Runner{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Shards = 3
-	sharded, err := Run(s, cluster.HDD, core.Runner{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := goldenResult(sharded), goldenResult(serial); got != want {
-		t.Errorf("spec shards=3 diverges from serial oracle:\n got:\n%s\nwant:\n%s", got, want)
+	for _, tc := range shardKnobSpecs {
+		_, err := Parse([]byte(tc.body))
+		if err == nil {
+			t.Errorf("%s: spec with the removed shards knob parsed", tc.name)
+		} else if !strings.Contains(err.Error(), `"shards"`) {
+			t.Errorf("%s: error %q does not name the shards field", tc.name, err)
+		}
+		without := strings.Replace(strings.Replace(tc.body, `"shards":4,`, "", 1), `,"shards":2`, "", 1)
+		if _, err := Parse([]byte(without)); err != nil {
+			t.Errorf("%s: spec without the knob failed to parse: %v", tc.name, err)
+		}
 	}
 }
 
-// TestShardKnobValidation pins the knob's error surface.
+// TestShardKnobValidation pins the knob's error surface on the file path
+// that `scenarios -file` reads: the error names both the file and the
+// field.
 func TestShardKnobValidation(t *testing.T) {
-	s := Builtin()[0]
-	s.Shards = -1
-	if err := s.Validate(); err == nil {
-		t.Error("negative shards passed validation")
-	}
-	if _, err := Parse([]byte(fmt.Sprintf(
-		`{"name":"t","trace":{"path":"x"},"shards":2}`))); err == nil {
-		t.Error("trace scenario with shards knob passed validation")
+	dir := t.TempDir()
+	for _, tc := range shardKnobSpecs {
+		path := filepath.Join(dir, tc.name+".json")
+		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(path)
+		if err == nil {
+			t.Errorf("%s: spec file with the removed shards knob loaded", tc.name)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, path) || !strings.Contains(msg, `"shards"`) {
+			t.Errorf("%s: error %q does not name both the file and the shards field", tc.name, msg)
+		}
 	}
 }

@@ -152,9 +152,8 @@ func (fb *FaultBlock) validate(servers int) error {
 // CompareFaults runs a fault scenario's δ=0 co-run twice on one backend —
 // once with the fault plan stripped (the healthy twin) and once as given —
 // and returns the pair (see core.RunFaultComparison). The scenario must
-// carry a faults block. shards 0 uses the spec's own parallelism knob;
-// results are bit-identical at every shard count.
-func CompareFaults(s Spec, backend cluster.BackendKind, shards int) (core.FaultComparison, error) {
+// carry a faults block.
+func CompareFaults(s Spec, backend cluster.BackendKind) (core.FaultComparison, error) {
 	cfg, spec, err := s.Build(backend)
 	if err != nil {
 		return core.FaultComparison{}, err
@@ -169,13 +168,7 @@ func CompareFaults(s Spec, backend cluster.BackendKind, shards int) (core.FaultC
 			apps[i].Start = spec.StartOffsets[i]
 		}
 	}
-	if shards == 0 {
-		shards = spec.Shards
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	return core.RunFaultComparison(cfg, apps, shards), nil
+	return core.RunFaultComparison(cfg, apps), nil
 }
 
 // smoke returns a copy scaled for a shrunken run. The injection timeline

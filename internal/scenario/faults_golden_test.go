@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cluster"
@@ -67,7 +68,7 @@ func TestGoldenFaults(t *testing.T) {
 	for _, s := range specs {
 		sm := s.Smoke()
 		for _, backend := range []cluster.BackendKind{cluster.HDD, cluster.SSD} {
-			fc, err := CompareFaults(sm, backend, 1)
+			fc, err := CompareFaults(sm, backend)
 			if err != nil {
 				t.Fatalf("%s@%s: %v", s.Name, backend.String(), err)
 			}
@@ -130,26 +131,38 @@ func degradePlanned(s Spec) bool {
 }
 
 // TestFaultScenarioShardConformance re-runs every fault builtin's
-// comparison at shard counts {1, 2, 4} and demands bit-identical results —
-// the injection-is-deterministic-under-sharding contract at the scenario
-// level, on both backends.
+// comparison on several goroutines at once and demands results
+// bit-identical to a lone run — the injection-is-deterministic contract
+// at the scenario level, on both backends. Each run's fault schedule lives
+// on its own engine, so concurrent crashes and loss bursts must not leak
+// between runs.
 func TestFaultScenarioShardConformance(t *testing.T) {
 	for _, s := range faultBuiltins() {
 		sm := s.Smoke()
 		for _, backend := range []cluster.BackendKind{cluster.HDD, cluster.SSD} {
-			oracle, err := CompareFaults(sm, backend, 1)
+			oracle, err := CompareFaults(sm, backend)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, shards := range []int{2, 4} {
-				got, err := CompareFaults(sm, backend, shards)
-				if err != nil {
-					t.Fatal(err)
+			got := make([]core.FaultComparison, conformanceParallelism())
+			errs := make([]error, len(got))
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					got[i], errs[i] = CompareFaults(sm, backend)
+				}(i)
+			}
+			wg.Wait()
+			for i, fc := range got {
+				if errs[i] != nil {
+					t.Fatal(errs[i])
 				}
-				if faultGoldenBlock(s, backend, got) != faultGoldenBlock(s, backend, oracle) ||
-					got.Faulted.Diag != oracle.Faulted.Diag {
-					t.Errorf("%s@%s shards=%d diverged from the serial oracle",
-						s.Name, backend.String(), shards)
+				if faultGoldenBlock(s, backend, fc) != faultGoldenBlock(s, backend, oracle) ||
+					fc.Faulted.Diag != oracle.Faulted.Diag {
+					t.Errorf("%s@%s concurrent run %d diverged from the serial oracle",
+						s.Name, backend.String(), i)
 				}
 			}
 		}
@@ -168,7 +181,7 @@ func TestFaultBuiltinLiveness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc, err := CompareFaults(s, cluster.HDD, 1)
+	fc, err := CompareFaults(s, cluster.HDD)
 	if err != nil {
 		t.Fatal(err)
 	}

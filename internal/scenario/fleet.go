@@ -34,7 +34,7 @@ const defaultSamplePairs = 64
 // summarizer: one co-run of all tenants at their arrival offsets, one alone
 // baseline per distinct tenant shape, and a seeded sample of pairwise
 // co-runs — every simulation independent and fanned out on the pool, so the
-// result is bit-identical at any pool parallelism and shard count.
+// result is bit-identical at any pool parallelism.
 func RunFleet(s Spec, backend cluster.BackendKind, pool core.Runner) (*FleetResult, error) {
 	if s.Population == nil {
 		return nil, fmt.Errorf("scenario %q: not a population scenario (use Run)", s.Name)

@@ -163,14 +163,6 @@ type Spec struct {
 	// application but the first is shifted by δ on top of its start_s.
 	DeltaS []float64 `json:"delta_s,omitempty"`
 
-	// Shards selects the event-kernel parallelism of every simulation the
-	// scenario runs: 0 or 1 is the serial determinism oracle, K >= 2 runs K
-	// independently-clocked shards (clients on shard 0, servers spread over
-	// the rest — see cluster.BuildSharded). Results are bit-identical at
-	// every value; only wall-clock time changes. A Runner.Shards override
-	// (the CLIs' -shards flag) wins over this knob.
-	Shards int `json:"shards,omitempty"`
-
 	// QoS enables a server-side QoS scheduler on every storage server
 	// (nil = off, the un-mitigated PVFS baseline). For a trace scenario it
 	// configures the replay platform (counterfactual what-if replay).
@@ -315,7 +307,7 @@ func (s Spec) Validate() error {
 		}
 		if len(s.Apps) > 0 || len(s.DeltaS) > 0 || s.Backend != "" || s.Sync != "" ||
 			s.Nodes != 0 || s.CoresPerNode != 0 || s.Servers != 0 ||
-			s.StripeKB != 0 || s.SSDChannels != 0 || s.Shards != 0 || s.Faults != nil ||
+			s.StripeKB != 0 || s.SSDChannels != 0 || s.Faults != nil ||
 			s.Population != nil {
 			return fmt.Errorf("scenario %q: a trace scenario replays the recorded platform; "+
 				"apps, faults, population and platform/δ knobs must be absent (qos is the one allowed override)", s.Name)
@@ -350,7 +342,7 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
 	if s.Nodes < 0 || s.CoresPerNode < 0 || s.Servers < 0 || s.StripeKB < 0 ||
-		s.SSDChannels < 0 || s.Shards < 0 {
+		s.SSDChannels < 0 {
 		return fmt.Errorf("scenario %q: negative platform parameter", s.Name)
 	}
 	if s.StripeKB > maxStripeKB {
@@ -595,7 +587,7 @@ func (s Spec) Build(backend cluster.BackendKind) (cluster.Config, core.DeltaSpec
 		cfg.Faults = s.Faults.plan()
 	}
 
-	spec := core.DeltaSpec{Cfg: cfg, Shards: s.Shards}
+	spec := core.DeltaSpec{Cfg: cfg}
 	node := 0
 	for i, a := range s.Apps {
 		ppn := a.PPN

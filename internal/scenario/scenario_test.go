@@ -188,10 +188,23 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// TestParseRejectsUnknownFields: a typo'd or removed knob is a parse error
+// that names the field, never silently ignored. The removed "shards" knob
+// has its own cases in TestShardKnobInSpec.
 func TestParseRejectsUnknownFields(t *testing.T) {
-	_, err := Parse([]byte(`{"name":"x","apps":[{"procs":2,"block_mb":4}],"block_gb":1}`))
-	if err == nil {
-		t.Fatal("unknown field accepted")
+	cases := []struct{ name, body, field string }{
+		{"typo", `{"name":"x","apps":[{"procs":2,"block_mb":4}],"block_gb":1}`, `"block_gb"`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Parse([]byte(tc.body))
+			if err == nil {
+				t.Fatal("unknown field accepted")
+			}
+			if !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("error %q does not name %s", err, tc.field)
+			}
+		})
 	}
 }
 

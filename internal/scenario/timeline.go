@@ -12,11 +12,9 @@ import (
 
 // RunTimeline executes the scenario's δ=0 co-run — the same canonical
 // point Record traces — with the observability layer attached: periodic
-// per-app × per-server samples plus request spans (internal/obs). shards
-// overrides the spec's shard count when positive; any shard count yields
-// a byte-identical Timeline by the sampler's determinism contract. Trace
+// per-app × per-server samples plus request spans (internal/obs). Trace
 // scenarios replay a recording and have no co-run to observe.
-func RunTimeline(s Spec, backend cluster.BackendKind, shards int, ocfg obs.Config) (core.RunResult, error) {
+func RunTimeline(s Spec, backend cluster.BackendKind, ocfg obs.Config) (core.RunResult, error) {
 	if s.Trace != nil {
 		return core.RunResult{}, fmt.Errorf("scenario %q: a trace scenario replays a recording; -timeline needs a co-run", s.Name)
 	}
@@ -24,10 +22,7 @@ func RunTimeline(s Spec, backend cluster.BackendKind, shards int, ocfg obs.Confi
 	if err != nil {
 		return core.RunResult{}, err
 	}
-	if shards <= 0 {
-		shards = spec.Shards
-	}
-	x := core.PrepareSharded(spec.Cfg, spec.AppsAt(0), shards)
+	x := core.Prepare(spec.Cfg, spec.AppsAt(0))
 	x.Observe(ocfg)
 	return x.Run(), nil
 }

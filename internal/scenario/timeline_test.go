@@ -5,9 +5,8 @@ package scenario
 // and spans attached, and the complete rendered timeline — every series
 // row and the span breakdown — is pinned byte-for-byte in
 // testdata/golden_timeline.tsv. The sampler can therefore never silently
-// drift. The conformance test re-renders the same timeline at shard
-// counts {2,4} and across GOMAXPROCS concurrent runs: all byte-identical
-// to the serial oracle (run under -race by `make obs`).
+// drift. The conformance test re-renders the same timeline in GOMAXPROCS
+// concurrent runs: all byte-identical to a lone run.
 //
 // Regenerate after an intentional model change with:
 //
@@ -33,15 +32,15 @@ func timelineObsConfig() obs.Config {
 	return obs.Config{Interval: 20 * sim.Millisecond, Samples: 256, SpanCap: 4096}
 }
 
-// timelineSmokeText renders the pinned timeline at the given shard count.
-func timelineSmokeText(t testing.TB, shards int) string {
+// timelineSmokeText renders the pinned timeline.
+func timelineSmokeText(t testing.TB) string {
 	t.Helper()
 	s, err := Lookup("aggressor-victim")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s = s.Smoke()
-	res, err := RunTimeline(s, cluster.HDD, shards, timelineObsConfig())
+	res, err := RunTimeline(s, cluster.HDD, timelineObsConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +52,7 @@ func timelineSmokeText(t testing.TB, shards int) string {
 }
 
 func TestGoldenTimeline(t *testing.T) {
-	got := timelineSmokeText(t, 1)
+	got := timelineSmokeText(t)
 	if updateGolden() {
 		if err := os.WriteFile(timelineGoldenFile, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -100,15 +99,9 @@ func splitLines(s string) []string {
 
 // TestTimelineShardConformance pins the determinism contract of the
 // sampler and span collector: the rendered timeline is byte-identical
-// across shard counts {1,2,4} and across GOMAXPROCS concurrent runs.
+// across GOMAXPROCS concurrent runs, each on its own engine.
 func TestTimelineShardConformance(t *testing.T) {
-	want := timelineSmokeText(t, 1)
-	for _, shards := range []int{2, 4} {
-		if got := timelineSmokeText(t, shards); got != want {
-			t.Fatalf("timeline at shards=%d diverged from the serial oracle:\n%s",
-				shards, firstDiff(want, got))
-		}
-	}
+	want := timelineSmokeText(t)
 	par := runtime.GOMAXPROCS(0)
 	got := make([]string, par)
 	var wg sync.WaitGroup
@@ -116,7 +109,7 @@ func TestTimelineShardConformance(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = timelineSmokeText(t, 1+i%4)
+			got[i] = timelineSmokeText(t)
 		}(i)
 	}
 	wg.Wait()
@@ -131,7 +124,7 @@ func TestTimelineShardConformance(t *testing.T) {
 // no co-run to observe.
 func TestRunTimelineRejectsTrace(t *testing.T) {
 	s := Spec{Name: "r", Trace: &TraceBlock{Path: "x.trace"}}
-	if _, err := RunTimeline(s, cluster.HDD, 1, timelineObsConfig()); err == nil {
+	if _, err := RunTimeline(s, cluster.HDD, timelineObsConfig()); err == nil {
 		t.Fatal("RunTimeline accepted a trace scenario")
 	}
 }

@@ -13,30 +13,29 @@ type Target interface {
 	OnEvent(op uint32, a, b int64)
 }
 
-// event is one scheduled entry: a callback due at a simulated time. Events
-// with equal times execute in (sched, psched, gsched, src, seq) order — the
-// simulated time they were scheduled at, the same stamp one and two levels
-// up the scheduling ancestry (the event executing when they were pushed,
-// and its own pusher), the shard that scheduled them, then a monotonically
-// increasing per-engine tiebreaker — which keeps simulations deterministic.
+// Events execute in (at, seq) order: due time, then a per-engine sequence
+// number assigned at push time. seq is strictly increasing, so events due
+// at the same instant run in the order they were scheduled (FIFO), and the
+// order is a total one — a simulation is a pure function of its inputs.
 //
-// On a single engine the whole prefix is non-decreasing in seq: the clock
-// never runs backwards (sched); events sharing (at, sched) were pushed by
-// parents that themselves executed in psched order at the instant sched;
-// and the same argument applies once more for gsched. So the order reduces
-// to the classic (at, seq) and the serial engine behaves exactly as it
-// always has; the extra keys only discriminate when a ShardSet merges
-// events produced by independently-clocked shards, where they reproduce the
-// serial engine's scheduling order without a global counter: same due time
-// → earlier-sent first (sched); same send time → sender whose own trigger
-// was scheduled earlier first (psched, then gsched); then shard
-// construction order. Three ancestry levels resolve every tie the
-// transport's lockstep paths produce (an ACK's ancestry reaches the
-// sender-shard event that transmitted the segment in three hops); the
-// serial-oracle conformance suite in internal/scenario is the empirical
-// arbiter that no deeper tie occurs.
+// The queue is split in two so that heap sifts move small, pointer-free
+// values:
 //
-// The payload is a tagged union, discriminated by which pointer is set:
+//   - key is the heap element: the ordering pair plus the index of the
+//     event's payload slot. 24 bytes, no pointers, so a sift is a few word
+//     copies with no GC write barriers.
+//   - payload is the callback, stored once in a per-engine slab and never
+//     moved while the event is pending. Slots are recycled through a free
+//     list and zeroed when their event is popped, so a dispatched event
+//     keeps no closure, proc or target reachable.
+type key struct {
+	at   Time
+	seq  uint64
+	slot uint32
+}
+
+// payload is an event's callback, a tagged union discriminated by which
+// pointer is set:
 //
 //	p   != nil — resume the parked process p (the Sleep/wake path)
 //	tgt != nil — call tgt.OnEvent(op, a, b) (the closure-free callback path)
@@ -46,18 +45,12 @@ type Target interface {
 // pop. Procs and Targets are pointers to objects that already exist; only
 // the fn variant may carry a freshly allocated closure, and the hot paths
 // (proc wake-ups, transport segments, device completions) avoid it.
-type event struct {
-	at     Time
-	sched  Time // simulated time the event was pushed (send time for cross-shard events)
-	psched Time // sched of the event that was executing at push time
-	gsched Time // psched of the event that was executing at push time (grandparent sched)
-	seq    uint64
-	a, b   int64
-	fn     func()
-	p      *Proc
-	tgt    Target
-	op     uint32
-	src    uint32 // shard that scheduled the event (0 on a serial engine)
+type payload struct {
+	a, b int64
+	fn   func()
+	p    *Proc
+	tgt  Target
+	op   uint32
 }
 
 // Engine is a discrete-event simulation executor. The zero value is not
@@ -68,19 +61,12 @@ type event struct {
 // shared simulation state without locks.
 type Engine struct {
 	now     Time
-	events  []event // min-heap ordered by (at, sched, psched, gsched, src, seq)
+	heap    []key     // binary min-heap ordered by (at, seq)
+	slab    []payload // event payloads, indexed by key.slot
+	free    []uint32  // slab slots not holding a pending event
 	seq     uint64
 	yield   chan struct{} // procs hand control back to the loop on this
 	current *Proc         // proc currently holding control, if any
-
-	// shard and set place the engine inside a sharded kernel (ShardSet).
-	// A serial engine has shard 0 and a nil set. curSched/curPsched are the
-	// sched and psched stamps of the event currently dispatching (0 during
-	// setup) — the psched/gsched stamps for any events it pushes.
-	shard     uint32
-	set       *ShardSet
-	curSched  Time
-	curPsched Time
 
 	executed uint64 // events executed so far
 	spawned  int    // procs ever spawned
@@ -101,7 +87,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // Parked returns the number of processes currently blocked. A simulation
 // that drains its event queue while processes remain parked has deadlocked;
@@ -116,94 +102,77 @@ func (e *Engine) ProcsSpawned() int { return e.spawned }
 
 // ---- heap ----------------------------------------------------------------
 //
-// A hand-specialized binary min-heap over the []event slice, keyed on
-// (at, sched, psched, gsched, src, seq). Compared with container/heap this removes the
-// interface boxing on every Push/Pop (two heap allocations per event), the
-// indirect Len/Less/Swap calls, and the zero-write of the vacated tail slot.
-// The trade-off of skipping that zero-write: pointers in the slice's unused
-// tail stay reachable until overwritten by a later push — harmless here
-// because engines live for one simulation and are then dropped wholesale.
+// A hand-specialized binary min-heap over []key. Compared with
+// container/heap this removes the interface boxing on every Push/Pop and
+// the indirect Len/Less/Swap calls; sifts move a hole instead of swapping,
+// so each level costs one 24-byte copy.
 
-// less orders events by time, then by scheduling time, then by the
-// parent's scheduling time, then by scheduling shard, then by per-engine
-// scheduling order. See the event type comment for why this reduces to
-// (at, seq) on a serial engine.
-func (e *Engine) less(i, j int) bool {
-	a, b := &e.events[i], &e.events[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.sched != b.sched {
-		return a.sched < b.sched
-	}
-	if a.psched != b.psched {
-		return a.psched < b.psched
-	}
-	if a.gsched != b.gsched {
-		return a.gsched < b.gsched
-	}
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	return a.seq < b.seq
+// less orders keys by due time, then by scheduling order.
+func less(x, y key) bool {
+	return x.at < y.at || (x.at == y.at && x.seq < y.seq)
 }
 
-// push inserts a locally scheduled event, stamping it with the engine's
-// clock, the dispatching event's sched, and the shard.
-func (e *Engine) push(ev event) {
-	ev.sched = e.now
-	ev.psched = e.curSched
-	ev.gsched = e.curPsched
-	ev.src = e.shard
-	e.pushRaw(ev)
-}
-
-// pushRaw inserts ev with its sched/src stamps already set (the ShardSet
-// drain path injects cross-shard events with the sender's stamps), assigning
-// the tiebreaker sequence number.
-func (e *Engine) pushRaw(ev event) {
+// push stores ev in a free slab slot and inserts its key.
+func (e *Engine) push(at Time, ev payload) {
+	var slot uint32
+	if n := len(e.free); n > 0 {
+		slot = e.free[n-1]
+		e.free = e.free[:n-1]
+		e.slab[slot] = ev
+	} else {
+		slot = uint32(len(e.slab))
+		e.slab = append(e.slab, ev)
+	}
 	e.seq++
-	ev.seq = e.seq
-	e.events = append(e.events, ev)
-	// Sift up.
-	h := e.events
+	k := key{at: at, seq: e.seq, slot: slot}
+	h := append(e.heap, k)
+	// Sift up: move parents down into the hole until k fits.
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !e.less(i, parent) {
+		if !less(k, h[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = k
+	e.heap = h
 }
 
-// popMin removes and returns the earliest event. The queue must not be
-// empty.
-func (e *Engine) popMin() event {
-	h := e.events
+// popMin removes the earliest event, frees and zeroes its slot, and returns
+// its due time and payload. The queue must not be empty.
+func (e *Engine) popMin() (Time, payload) {
+	h := e.heap
 	min := h[0]
 	n := len(h) - 1
-	h[0] = h[n]
-	e.events = h[:n]
-	// Sift down.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && e.less(l, smallest) {
-			smallest = l
+	last := h[n]
+	h = h[:n]
+	e.heap = h
+	if n > 0 {
+		// Sift down: move the smaller child up into the hole until the
+		// former last key fits.
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && less(h[r], h[c]) {
+				c = r
+			}
+			if !less(h[c], last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
 		}
-		if r < n && e.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
+		h[i] = last
 	}
-	return min
+	ev := e.slab[min.slot]
+	e.slab[min.slot] = payload{}
+	e.free = append(e.free, min.slot)
+	return min.at, ev
 }
 
 // ---- scheduling ----------------------------------------------------------
@@ -221,7 +190,7 @@ func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: at %v, now %v", t, e.now))
 	}
-	e.push(event{at: t, fn: fn})
+	e.push(t, payload{fn: fn})
 }
 
 // ScheduleCall runs tgt.OnEvent(op, a, b) after delay d. It is the
@@ -239,7 +208,7 @@ func (e *Engine) AtCall(t Time, tgt Target, op uint32, a, b int64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: at %v, now %v", t, e.now))
 	}
-	e.push(event{at: t, tgt: tgt, op: op, a: a, b: b})
+	e.push(t, payload{tgt: tgt, op: op, a: a, b: b})
 }
 
 // scheduleProc schedules a handoff to p after delay d (the Sleep/wake
@@ -248,11 +217,11 @@ func (e *Engine) scheduleProc(d Time, p *Proc) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	e.push(event{at: e.now + d, p: p})
+	e.push(e.now+d, payload{p: p})
 }
 
 // dispatch executes one popped event according to its union tag.
-func (e *Engine) dispatch(ev event) {
+func (e *Engine) dispatch(ev payload) {
 	switch {
 	case ev.p != nil:
 		e.handoff(ev.p)
@@ -272,19 +241,8 @@ func (e *Engine) Run() Time { return e.RunUntil(MaxTime) }
 // afterwards; later events remain queued. The clock never advances past the
 // time of the last executed event.
 func (e *Engine) RunUntil(deadline Time) Time {
-	for len(e.events) > 0 {
-		if e.events[0].at > deadline {
-			break
-		}
-		ev := e.popMin()
-		if ev.at < e.now {
-			panic("sim: time went backwards")
-		}
-		e.now = ev.at
-		e.curSched = ev.sched
-		e.curPsched = ev.psched
-		e.executed++
-		e.dispatch(ev)
+	for len(e.heap) > 0 && e.heap[0].at <= deadline {
+		e.step()
 	}
 	return e.now
 }
@@ -292,91 +250,20 @@ func (e *Engine) RunUntil(deadline Time) Time {
 // Step executes exactly one event if available and reports whether it did.
 // It applies the same time-monotonicity check as RunUntil.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	if len(e.heap) == 0 {
 		return false
 	}
-	ev := e.popMin()
-	if ev.at < e.now {
-		panic("sim: time went backwards")
-	}
-	e.now = ev.at
-	e.curSched = ev.sched
-	e.curPsched = ev.psched
-	e.executed++
-	e.dispatch(ev)
+	e.step()
 	return true
 }
 
-// ---- shard boundary ------------------------------------------------------
-
-// Shard returns the engine's shard index within its ShardSet (0 for a
-// serial engine).
-func (e *Engine) Shard() int { return int(e.shard) }
-
-// NextEventTime reports the due time of the earliest pending event; ok is
-// false when the queue is empty. It is the engine's safe-time report to the
-// ShardSet synchronizer.
-func (e *Engine) NextEventTime() (t Time, ok bool) {
-	if len(e.events) == 0 {
-		return 0, false
+// step pops and executes the earliest event. The queue must not be empty.
+func (e *Engine) step() {
+	at, ev := e.popMin()
+	if at < e.now {
+		panic("sim: time went backwards")
 	}
-	return e.events[0].at, true
-}
-
-// sameSet reports whether dst shares a shard set with e (or is e itself),
-// panicking on a cross-engine post with no common synchronizer — that would
-// mutate a foreign heap with no ordering guarantee.
-func (e *Engine) sameSet(dst *Engine) {
-	if e.set == nil || e.set != dst.set {
-		panic("sim: cross-engine post between engines that do not share a ShardSet")
-	}
-}
-
-// PostCall schedules tgt.OnEvent(op, a, b) at absolute time t on engine
-// dst, which may belong to a different shard of the same ShardSet. On the
-// local engine it is exactly AtCall; cross-shard it enqueues a timestamped
-// message in the per-pair mailbox, to be merged into dst's queue at the
-// next synchronization window. Cross-shard t must respect the set's
-// lookahead: t >= e.Now() + lookahead (the shard boundary contract).
-func (e *Engine) PostCall(dst *Engine, t Time, tgt Target, op uint32, a, b int64) {
-	if dst == e {
-		e.AtCall(t, tgt, op, a, b)
-		return
-	}
-	e.sameSet(dst)
-	e.set.post(e, dst, xmsg{at: t, sched: e.now, psched: e.curSched, gsched: e.curPsched, tgt: tgt, op: op, a: a, b: b})
-}
-
-// PostFunc is PostCall for a closure: fn runs at absolute time t on dst.
-func (e *Engine) PostFunc(dst *Engine, t Time, fn func()) {
-	if dst == e {
-		e.At(t, fn)
-		return
-	}
-	e.sameSet(dst)
-	e.set.post(e, dst, xmsg{at: t, sched: e.now, psched: e.curSched, gsched: e.curPsched, fn: fn})
-}
-
-// Applier receives cross-shard state deliveries that are not simulation
-// events: OnApply runs on the destination shard's timeline at the next
-// synchronization window, before any event of that window. It models
-// zero-cost bookkeeping a sender performs on receiver-owned state (e.g. the
-// transport's receiver-side framing mirror) without counting as an executed
-// event — keeping sharded event counts identical to the serial engine's.
-type Applier interface {
-	OnApply(a, b int64, data any)
-}
-
-// PostApply delivers ap.OnApply(a, b, data) to dst's shard. On the local
-// engine it applies synchronously (exactly the serial behavior); cross-shard
-// it is applied when dst's shard next synchronizes. The deferral is safe for
-// state that the destination provably cannot observe before one lookahead
-// has passed — which is the same contract cross-shard events live under.
-func (e *Engine) PostApply(dst *Engine, ap Applier, a, b int64, data any) {
-	if dst == e {
-		ap.OnApply(a, b, data)
-		return
-	}
-	e.sameSet(dst)
-	e.set.post(e, dst, xmsg{sched: e.now, ap: ap, a: a, b: b, data: data})
+	e.now = at
+	e.executed++
+	e.dispatch(ev)
 }

@@ -174,3 +174,83 @@ func TestPropertyRunUntilBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEqualTimeOrderIgnoresSlots pins that ties are broken by scheduling
+// order, not by slab slot. Draining earlier events frees their slots out of
+// order; the equal-time events pushed afterwards reuse those slots in a
+// different order than they were pushed, and must still run FIFO.
+func TestEqualTimeOrderIgnoresSlots(t *testing.T) {
+	e := NewEngine()
+	for _, d := range []Time{30, 10, 20, 5, 25} {
+		e.Schedule(d, func() {})
+	}
+	e.RunUntil(20) // pops 5, 10, 20: frees slots 3, 1, 2
+	var got []int
+	for i := 0; i < 8; i++ {
+		i := i
+		e.Schedule(2, func() { got = append(got, i) }) // all due at 22
+	}
+	e.Run()
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("equal-time events ran out of push order: %v", got)
+		}
+	}
+	if len(got) != 8 {
+		t.Fatalf("ran %d of 8 equal-time events", len(got))
+	}
+}
+
+// TestPropertyTiesFIFOUnderChurn interleaves random pushes and pops and
+// checks that every executed event is later in (at, push order) than the
+// one before it.
+func TestPropertyTiesFIFOUnderChurn(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := NewRand(seed)
+		e := NewEngine()
+		pushed := 0
+		lastAt, lastID := Time(-1), -1
+		ok := true
+		var schedule func()
+		schedule = func() {
+			id := pushed
+			pushed++
+			at := e.Now() + Time(r.Intn(4))
+			e.At(at, func() {
+				if at < lastAt || (at == lastAt && id < lastID) {
+					ok = false
+				}
+				lastAt, lastID = at, id
+				for n := r.Intn(3); n > 0 && pushed < 2000; n-- {
+					schedule()
+				}
+			})
+		}
+		for i := 0; i < 16; i++ {
+			schedule()
+		}
+		e.Run()
+		return ok && e.Pending() == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPoppedSlotsReleaseCallbacks pins that the slab keeps no closure,
+// proc or target reachable once its event has run.
+func TestPoppedSlotsReleaseCallbacks(t *testing.T) {
+	e := NewEngine()
+	tgt := &countTarget{}
+	for i := 0; i < 8; i++ {
+		e.Schedule(Time(i), func() {})
+		e.ScheduleCall(Time(i), tgt, 0, 1, 0)
+	}
+	e.Spawn("p", func(p *Proc) { p.Sleep(3) })
+	e.Run()
+	for i, ev := range e.slab {
+		if ev.fn != nil || ev.p != nil || ev.tgt != nil {
+			t.Fatalf("slot %d still references a callback after its event ran", i)
+		}
+	}
+}

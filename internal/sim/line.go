@@ -49,13 +49,6 @@ func (l *Line) reserve(n int64) Time {
 	return l.busyUntil + l.Latency
 }
 
-// Reserve books n bytes of service on the line and returns their delivery
-// time without scheduling anything. Callers that deliver to a different
-// shard pair it with Engine.PostCall/PostFunc: Reserve runs on the line's
-// own engine (the sender side), and the returned time — at least the line's
-// Latency in the future — is the cross-shard event's timestamp.
-func (l *Line) Reserve(n int64) Time { return l.reserve(n) }
-
 // Send schedules the transfer of n bytes; fn runs when the last byte has
 // been delivered (serialization + latency). It returns the delivery time.
 func (l *Line) Send(n int64, fn func()) Time {

@@ -13,7 +13,8 @@
 // and a deterministic splitmix64 random number generator.
 //
 // The kernel is engineered for a zero-allocation steady state. Events are
-// stored inline in a hand-specialized min-heap, and the hot scheduling
+// pointer-free (time, sequence, slot) keys in a hand-specialized min-heap
+// whose callbacks live in a reusable per-engine slab, and the hot scheduling
 // paths avoid per-event closures: parked processes resume through the
 // event's *Proc arm, and layers whose callback is a fixed method on a
 // long-lived object implement Target and use ScheduleCall/AtCall (or

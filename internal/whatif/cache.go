@@ -7,8 +7,8 @@ import (
 )
 
 // Cache is the content-addressed baseline cache: key = sha256 over the
-// workload identity (trace bytes or canonical spec JSON), the built
-// cluster.Config and the shard count (see cacheKey), value = the fully
+// workload identity (trace bytes or canonical spec JSON) and the built
+// cluster.Config (see cacheKey), value = the fully
 // computed baseline arm. Eviction is LRU under a byte budget — entry sizes
 // are the JSON encoding of the stored baseline, a faithful proxy for the
 // retained heap since the stored structs are plain data.

@@ -231,21 +231,24 @@ func TestServerBadRequests(t *testing.T) {
 		"name": "x", "qos": map[string]any{"scheduler": "fairshare"},
 		"apps": []map[string]any{{"procs": 1, "block_mb": 1}},
 	})
+	shardSpec := strings.Replace(string(spec), "{", `{"shards":4,`, 1)
 	cases := []struct {
 		name, path, body string
+		mention          string // the error must name this, when set
 	}{
-		{"not json", "/v1/whatif", "nope"},
-		{"unknown envelope field", "/v1/whatif", `{"scenario":{"name":"x"},"bogus":1}`},
-		{"missing scenario", "/v1/whatif", `{"backend":"hdd"}`},
-		{"unknown spec field", "/v1/whatif", `{"scenario":{"name":"x","nope":1}}`},
-		{"qos block in spec", "/v1/whatif", fmt.Sprintf(`{"scenario":%s}`, qosSpec)},
-		{"bad backend", "/v1/whatif", fmt.Sprintf(`{"scenario":%s,"backend":"tape"}`, spec)},
-		{"bad arm", "/v1/whatif", fmt.Sprintf(`{"scenario":%s,"arms":["nope"]}`, spec)},
-		{"off arm", "/v1/whatif", fmt.Sprintf(`{"scenario":%s,"arms":["off"]}`, spec)},
-		{"negative shards", "/v1/whatif", fmt.Sprintf(`{"scenario":%s,"shards":-1}`, spec)},
-		{"garbage trace", "/v1/whatif/trace", "not a trace"},
-		{"bad trace arm", "/v1/whatif/trace?arms=nope", "IOTRACE1"},
-		{"bad wait", "/v1/whatif/trace?wait=maybe", "IOTRACE1"},
+		{"not json", "/v1/whatif", "nope", ""},
+		{"unknown envelope field", "/v1/whatif", `{"scenario":{"name":"x"},"bogus":1}`, ""},
+		{"missing scenario", "/v1/whatif", `{"backend":"hdd"}`, ""},
+		{"unknown spec field", "/v1/whatif", `{"scenario":{"name":"x","nope":1}}`, ""},
+		{"qos block in spec", "/v1/whatif", fmt.Sprintf(`{"scenario":%s}`, qosSpec), ""},
+		{"bad backend", "/v1/whatif", fmt.Sprintf(`{"scenario":%s,"backend":"tape"}`, spec), ""},
+		{"bad arm", "/v1/whatif", fmt.Sprintf(`{"scenario":%s,"arms":["nope"]}`, spec), ""},
+		{"off arm", "/v1/whatif", fmt.Sprintf(`{"scenario":%s,"arms":["off"]}`, spec), ""},
+		{"removed shards envelope field", "/v1/whatif", fmt.Sprintf(`{"scenario":%s,"shards":4}`, spec), `"shards"`},
+		{"removed shards spec field", "/v1/whatif", fmt.Sprintf(`{"scenario":%s}`, shardSpec), `"shards"`},
+		{"garbage trace", "/v1/whatif/trace", "not a trace", ""},
+		{"bad trace arm", "/v1/whatif/trace?arms=nope", "IOTRACE1", ""},
+		{"bad wait", "/v1/whatif/trace?wait=maybe", "IOTRACE1", ""},
 	}
 	for _, tc := range cases {
 		resp, out := postJSON(t, ts.URL+tc.path, []byte(tc.body))
@@ -256,6 +259,9 @@ func TestServerBadRequests(t *testing.T) {
 		var e struct{ Error string }
 		if err := json.Unmarshal(out, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: error envelope missing: %s", tc.name, out)
+		}
+		if !strings.Contains(e.Error, tc.mention) {
+			t.Errorf("%s: error %q does not name %s", tc.name, e.Error, tc.mention)
 		}
 	}
 }

@@ -41,9 +41,6 @@ type Query struct {
 	Backend cluster.BackendKind
 	// Smoke shrinks the scenario to the CI smoke grid before running.
 	Smoke bool
-	// Shards is the event-kernel shard override (0 = the spec's own knob).
-	// Results are bit-identical at any value.
-	Shards int
 	// Arms are the mitigation schemes to sweep; never contains Off.
 	Arms []qos.Kind
 }
@@ -167,14 +164,13 @@ func ParseArms(names []string) ([]qos.Kind, error) {
 }
 
 // cacheKey derives the content address of a baseline: a sha256 over the
-// query kind, the effective shard count and the length-prefixed identity
+// query kind and the length-prefixed identity
 // parts (trace bytes or canonical spec JSON, the built cluster.Config, the
 // display label). Length prefixes keep distinct part lists from colliding
 // by concatenation.
-func cacheKey(kind string, shards int, parts ...[]byte) string {
+func cacheKey(kind string, parts ...[]byte) string {
 	h := sha256.New()
 	io.WriteString(h, kind)
-	fmt.Fprintf(h, "|%d", shards)
 	var n [8]byte
 	for _, p := range parts {
 		binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
@@ -236,8 +232,8 @@ func (s *Server) computeScenario(q *Query) (*Report, bool, error) {
 	if err != nil {
 		return nil, false, badRequest(err)
 	}
-	key := cacheKey("scenario", q.Shards, mustJSON(base), mustJSON(cfg))
-	pool := core.Runner{Parallelism: s.cfg.Jobs, Shards: q.Shards}
+	key := cacheKey("scenario", mustJSON(base), mustJSON(cfg))
+	pool := core.Runner{Parallelism: s.cfg.Jobs}
 
 	armSpecs := make([]scenario.Spec, len(q.Arms))
 	for i, k := range q.Arms {
@@ -391,7 +387,7 @@ func (s *Server) computeTrace(q *Query) (*Report, bool, error) {
 	cfg := t.Header.Cfg
 	// The label lands in rendered table titles, so it is part of the
 	// baseline's identity: same bytes under a different name recompute.
-	key := cacheKey("trace", q.Shards, []byte(label), q.Trace, mustJSON(cfg))
+	key := cacheKey("trace", []byte(label), q.Trace, mustJSON(cfg))
 
 	reps := make([]*trace.ReplayResult, len(q.Arms))
 	errs := make([]error, len(q.Arms)+1)

@@ -92,31 +92,6 @@ func TestComputeScenario(t *testing.T) {
 	}
 }
 
-// TestComputeScenarioShardInvariance pins the determinism contract the
-// service inherits from the kernel: the shard override changes the cache
-// key but never a byte of the report.
-func TestComputeScenarioShardInvariance(t *testing.T) {
-	s := New(Config{Workers: 1})
-	defer s.Close()
-	spec := tinySpec()
-	arms := []qos.Kind{qos.FairShare}
-
-	serial, _, err := s.Compute(&Query{Spec: &spec, Backend: cluster.HDD, Arms: arms})
-	if err != nil {
-		t.Fatalf("serial: %v", err)
-	}
-	sharded, hit, err := s.Compute(&Query{Spec: &spec, Backend: cluster.HDD, Arms: arms, Shards: 2})
-	if err != nil {
-		t.Fatalf("sharded: %v", err)
-	}
-	if hit {
-		t.Fatal("different shard count must be a different cache key")
-	}
-	if !bytes.Equal(mustReportJSON(t, serial), mustReportJSON(t, sharded)) {
-		t.Fatal("sharded report differs from serial — determinism contract broken")
-	}
-}
-
 func TestComputeTrace(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
