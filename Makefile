@@ -3,10 +3,11 @@
 GO      ?= go
 # BENCH_OUT is the perf snapshot consumed by CI artifacts and by future
 # perf PRs; the _N suffix tracks the PR number that produced it.
-BENCH_OUT ?= BENCH_12.json
+BENCH_OUT ?= BENCH_13.json
 # BENCH_PREV is the previous PR's committed snapshot; bench-check fails when
-# a serial-path benchmark regressed beyond the benchguard tolerance.
-BENCH_PREV ?= BENCH_10.json
+# a serial-path benchmark regressed beyond the benchguard tolerance, or its
+# allocs/op rose by more than 1%.
+BENCH_PREV ?= BENCH_12.json
 
 .PHONY: test race bench bench-check fuzz-short scenarios mitigate trace faults fleet serve obs
 
@@ -57,7 +58,7 @@ trace:
 #	jq -r 'select(.Action=="output") | .Output' BENCH_4.json > new.txt
 #	benchstat old.txt new.txt
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineEventThroughput|BenchmarkEngineHeapChurn|BenchmarkTransportThroughput|BenchmarkHDDElevator|BenchmarkFairShareScheduler|BenchmarkTraceRecord' \
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineEventThroughput|BenchmarkEngineHeapChurn|BenchmarkTransportThroughput|BenchmarkPFSWritePath|BenchmarkHDDElevator|BenchmarkFairShareScheduler|BenchmarkTraceRecord' \
 		-benchmem -benchtime 0.5s -count 5 -json . > $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench 'BenchmarkFigure2SyncOn$$' \
 		-benchmem -benchtime 1x -count 3 -json . >> $(BENCH_OUT)
@@ -71,10 +72,11 @@ bench:
 
 # bench-check guards the serial-path perf trajectory: the previous PR's
 # committed snapshot against the fresh one, with a generous cross-machine
-# tolerance (see cmd/benchguard).
+# tolerance on ns/op and a 1% one on the machine-independent allocs/op
+# (see cmd/benchguard).
 bench-check:
 	$(GO) run ./cmd/benchguard -old $(BENCH_PREV) -new $(BENCH_OUT) \
-		-match '^Benchmark(EngineEventThroughput|EngineHeapChurn|TransportThroughput|HDDElevator|FairShareScheduler|TraceRecord|Figure2SyncOn|FleetScenario|WhatIfCacheHit|WhatIfCacheMiss|SamplerTick|SpanRecord)'
+		-match '^Benchmark(EngineEventThroughput|EngineHeapChurn|TransportThroughput|PFSWritePath|HDDElevator|FairShareScheduler|TraceRecord|Figure2SyncOn|FleetScenario|WhatIfCacheHit|WhatIfCacheMiss|SamplerTick|SpanRecord)'
 
 # fuzz-short gives each native fuzz target a brief coverage-guided run on
 # top of its committed seed corpus — long enough to catch a fresh parser

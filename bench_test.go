@@ -385,6 +385,40 @@ func BenchmarkHDDElevator(b *testing.B) {
 	b.SetBytes(256 << 10)
 }
 
+// BenchmarkPFSWritePath measures the pfs client/server request path: one
+// client and one RAM-backed SyncOn server on a 10 GbE fabric, each op a
+// 64 MiB write (256 flow chunks) issued and run to completion. allocs/op
+// must stay O(1) in the chunk count: the path allocates per server share
+// (the share list, the client handle, the share state and its chunk slab),
+// never per chunk.
+func BenchmarkPFSWritePath(b *testing.B) {
+	const size = 64 << 20
+	e := sim.NewEngine()
+	fab := netsim.NewFabric(e, netsim.DefaultParams())
+	srv := pfs.NewServer(e, 0, fab.NewHost("server", 1.25e9, 0),
+		storage.NewRAM(e, storage.DefaultRAM()), nil, pfs.DefaultServerParams())
+	fs := pfs.NewFileSystem(e, fab, []*pfs.Server{srv})
+	f := fs.CreateFile("f", nil, 64<<10)
+	cl := fs.NewClient(fab.NewHost("client", 1.25e9, 0), 0)
+	done := 0
+	onDone := func() { done++ }
+	write := func() {
+		cl.WriteAsync(f, 0, size, onDone)
+		e.Run()
+	}
+	write() // grow the queues and the event heap to steady capacity
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		write()
+	}
+	b.StopTimer()
+	if done != b.N+1 {
+		b.Fatalf("%d of %d writes completed", done, b.N+1)
+	}
+	b.ReportMetric(float64(srv.Stats().Chunks)/float64(b.N+1), "chunks/op")
+}
+
 // BenchmarkTraceRecord measures the request-level trace recorder's
 // steady-state record path (one BeginRequest + EndRequest pair, the hook
 // the pfs client runs per request when tracing is on). With capacity

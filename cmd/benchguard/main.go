@@ -4,9 +4,14 @@
 //
 // It guards the *serial-path* trajectory across PRs: the bench job runs it
 // with the previous PR's committed snapshot as -old and the fresh one as
-// -new. The tolerance is deliberately generous — snapshots come from
+// -new. The ns/op tolerance is deliberately generous — snapshots come from
 // different CI machines (different CPUs, frequencies, neighbors), so only
 // a gross regression (default 1.5×) is a signal rather than noise.
+//
+// allocs/op does not depend on the machine, so it is gated tightly: a
+// benchmark that reports it fails when its median allocs/op exceeds the
+// old median by more than 1% (a Figure 2 run's count varies by under
+// 0.01% between runs; a zero-allocation bench must stay at zero).
 //
 // Usage:
 //
@@ -71,9 +76,20 @@ func readBenchLines(path string) ([]string, error) {
 //	BenchmarkName[-procs] <tab> iters <tab> 123.4 ns/op [more metrics]
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.e+]+) ns/op`)
 
+// allocsField matches the allocs/op metric (-benchmem or b.ReportAllocs)
+// anywhere after the ns/op field of a result line.
+var allocsField = regexp.MustCompile(`\s([0-9.e+]+) allocs/op`)
+
 // parse returns ns/op samples per benchmark name.
 func parse(lines []string) map[string][]float64 {
-	out := make(map[string][]float64)
+	ns, _ := parseAll(lines)
+	return ns
+}
+
+// parseAll returns the ns/op and the allocs/op samples per benchmark name;
+// a benchmark run without allocation reporting has no allocs/op samples.
+func parseAll(lines []string) (ns, allocs map[string][]float64) {
+	ns, allocs = make(map[string][]float64), make(map[string][]float64)
 	for _, line := range lines {
 		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
@@ -83,10 +99,18 @@ func parse(lines []string) map[string][]float64 {
 		if err != nil {
 			continue
 		}
-		out[m[1]] = append(out[m[1]], v)
+		ns[m[1]] = append(ns[m[1]], v)
+		if a := allocsField.FindStringSubmatch(line[len(m[0]):]); a != nil {
+			if v, err := strconv.ParseFloat(a[1], 64); err == nil {
+				allocs[m[1]] = append(allocs[m[1]], v)
+			}
+		}
 	}
-	return out
+	return ns, allocs
 }
+
+// allocSlack is how far a median allocs/op may exceed its baseline.
+const allocSlack = 0.01
 
 // median of a non-empty sample set; medians resist the occasional CI
 // scheduling hiccup better than means.
@@ -116,20 +140,53 @@ func main() {
 		os.Exit(2)
 	}
 
-	load := func(path string) map[string][]float64 {
+	load := func(path string) (ns, allocs map[string][]float64) {
 		lines, err := readBenchLines(path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
 			os.Exit(2)
 		}
-		return parse(lines)
+		return parseAll(lines)
 	}
-	oldB, newB := load(*oldPath), load(*newPath)
+	oldB, oldA := load(*oldPath)
+	newB, newA := load(*newPath)
 
+	failed := false
 	if !guard(os.Stdout, oldB, newB, *tolerance, re, *oldPath) {
-		fmt.Fprintf(os.Stderr, "benchguard: regression beyond %.2fx tolerance\n", *tolerance)
+		fmt.Fprintf(os.Stderr, "benchguard: ns/op regression beyond %.2fx tolerance\n", *tolerance)
+		failed = true
+	}
+	if !guardAllocs(os.Stdout, oldA, newA, re) {
+		fmt.Fprintf(os.Stderr, "benchguard: allocs/op regression beyond %.0f%%\n", 100*allocSlack)
+		failed = true
+	}
+	if failed {
 		os.Exit(1)
 	}
+}
+
+// guardAllocs compares median allocs/op over the benchmarks both snapshots
+// report it for, printing one sorted line per compared benchmark, and
+// reports whether every one stayed within allocSlack of its baseline.
+func guardAllocs(w io.Writer, oldA, newA map[string][]float64, re *regexp.Regexp) bool {
+	names := make([]string, 0, len(newA))
+	for name := range newA {
+		if _, ok := oldA[name]; ok && re.MatchString(name) {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	ok := true
+	for _, name := range names {
+		o, n := median(oldA[name]), median(newA[name])
+		verdict := "ok  "
+		if n > o*(1+allocSlack) {
+			verdict = "FAIL"
+			ok = false
+		}
+		fmt.Fprintf(w, "%s %-45s old %12.0f allocs/op  new %12.0f allocs/op\n", verdict, name, o, n)
+	}
+	return ok
 }
 
 // guard compares the two snapshots over their intersection, printing one

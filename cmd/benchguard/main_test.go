@@ -93,3 +93,51 @@ func TestParseBenchLines(t *testing.T) {
 		t.Fatalf("median = %v, want 2.5", m)
 	}
 }
+
+// TestGuardAllocs pins the machine-independent allocs/op gate: parsed from
+// -benchmem result lines, compared by median, failing on any rise beyond
+// 1% — including from zero — while ns/op-only benchmarks are not gated.
+func TestGuardAllocs(t *testing.T) {
+	lines := []string{
+		"BenchmarkFigure2SyncOn-2 \t 1 \t 2.1e+09 ns/op \t 6.0e+07 B/op \t 75000 allocs/op",
+		"BenchmarkFigure2SyncOn-2 \t 1 \t 2.0e+09 ns/op \t 6.0e+07 B/op \t 75003 allocs/op",
+		"BenchmarkFigure2SyncOn-2 \t 1 \t 2.2e+09 ns/op \t 6.0e+07 B/op \t 75001 allocs/op",
+		"BenchmarkHeap-2 \t 1000 \t 52.0 ns/op \t 0 B/op \t 0 allocs/op",
+		"BenchmarkFleet-2 \t 1 \t 9e+08 ns/op \t 1024 tenants",
+	}
+	ns, allocs := parseAll(lines)
+	if len(ns["BenchmarkFleet"]) != 1 || len(allocs["BenchmarkFleet"]) != 0 {
+		t.Fatalf("custom-metric line parsed as allocs: ns %v, allocs %v", ns, allocs)
+	}
+	if v := allocs["BenchmarkFigure2SyncOn"]; len(v) != 3 || median(v) != 75001 {
+		t.Fatalf("Figure2SyncOn allocs = %v, want median 75001 of 3", v)
+	}
+	if v := allocs["BenchmarkHeap"]; len(v) != 1 || v[0] != 0 {
+		t.Fatalf("Heap allocs = %v, want [0]", v)
+	}
+
+	for _, c := range []struct {
+		name     string
+		fig, hep float64 // new medians
+		pass     bool
+	}{
+		{"unchanged", 75001, 0, true},
+		{"fewer", 7000, 0, true},
+		{"within 1%", 75700, 0, true},
+		{"beyond 1%", 75800, 0, false},
+		{"zero to one", 75001, 1, false},
+	} {
+		newA := map[string][]float64{
+			"BenchmarkFigure2SyncOn": {c.fig},
+			"BenchmarkHeap":          {c.hep},
+			"BenchmarkNew":           {99}, // no baseline: not gated
+		}
+		var b strings.Builder
+		if got := guardAllocs(&b, allocs, newA, any); got != c.pass {
+			t.Errorf("%s: guardAllocs = %v, want %v:\n%s", c.name, got, c.pass, b.String())
+		}
+		if strings.Contains(b.String(), "BenchmarkNew") || strings.Contains(b.String(), "BenchmarkFleet") {
+			t.Errorf("%s: benchmark without an allocs baseline was gated:\n%s", c.name, b.String())
+		}
+	}
+}

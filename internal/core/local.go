@@ -92,10 +92,10 @@ func runLocalClients(cfg cluster.Config, lp LocalParams, b cluster.BackendKind, 
 					dev.Submit(&storage.Request{
 						File: file, Offset: off, Size: size,
 						Stream: storage.StreamID(file),
-						Done: func() {
+						Done: storage.DoneFunc(func() {
 							sem.Release()
 							gate.Done(e)
-						},
+						}),
 					})
 				})
 			}

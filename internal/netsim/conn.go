@@ -5,7 +5,9 @@ import "repro/internal/sim"
 // Message is an application-level message carried on a connection. Messages
 // are delivered in order; a message becomes *readable* at the receiver once
 // all of its bytes have been accepted, and occupies receive-buffer space
-// until the application consumes it with ReadHead.
+// until the application consumes it with ReadHead. The receiver frames the
+// stream on the sent Message itself, so a message must not be sent again
+// before it has been read.
 type Message struct {
 	Size int64
 	Meta interface{}
@@ -45,7 +47,6 @@ type Conn struct {
 	OnReply func(meta interface{})
 
 	// ---- sender state ----
-	sendQ       []*Message
 	appendedSeq int64 // bytes ever queued
 	nextSeq     int64 // next byte to transmit
 	ackedSeq    int64 // cumulative ack
@@ -69,6 +70,11 @@ type Conn struct {
 	notifyQ    []*Message
 	notifyHead int
 
+	// replyQ holds the metas of replies on the reverse path, in send order.
+	// They share the server's FIFO egress line, so each opReply delivers
+	// the head.
+	replyQ []interface{}
+
 	stats ConnStats
 	Trace *Trace // optional; set by probes
 }
@@ -83,6 +89,7 @@ const (
 	opAck                    // cumulative ACK at the sender; a=ack, b=rwnd
 	opReadable               // head message fully arrived; pops notifyQ
 	opRTO                    // retransmission timer; a=deadline
+	opReply                  // reverse-path reply delivered; pops replyQ
 )
 
 // OnEvent implements sim.Target: the closure-free landing point for every
@@ -107,6 +114,14 @@ func (c *Conn) OnEvent(op uint32, a, b int64) {
 		c.OnReadable(c, m)
 	case opRTO:
 		c.checkRTO(sim.Time(a))
+	case opReply:
+		meta := c.replyQ[0]
+		n := copy(c.replyQ, c.replyQ[1:])
+		c.replyQ[n] = nil
+		c.replyQ = c.replyQ[:n]
+		if c.OnReply != nil {
+			c.OnReply(meta)
+		}
 	}
 }
 
@@ -159,10 +174,8 @@ func (c *Conn) Send(m *Message) {
 	}
 	c.appendedSeq += m.Size
 	m.endSeq = c.appendedSeq
-	c.sendQ = append(c.sendQ, m)
-	mm := *m
-	mm.notified = false
-	c.rcvQ = append(c.rcvQ, &mm) // the receiver's framing mirror
+	m.notified = false
+	c.rcvQ = append(c.rcvQ, m)
 	c.pump()
 }
 
@@ -289,8 +302,9 @@ func (c *Conn) ReadHead() *Message {
 	if m.endSeq > c.rcvNext {
 		panic("netsim: ReadHead before message fully arrived")
 	}
-	copy(c.rcvQ, c.rcvQ[1:])
-	c.rcvQ = c.rcvQ[:len(c.rcvQ)-1]
+	n := copy(c.rcvQ, c.rcvQ[1:])
+	c.rcvQ[n] = nil // the vacated tail slot must not pin a consumed message
+	c.rcvQ = c.rcvQ[:n]
 	c.readSeq = m.endSeq
 	// Window update travels on the reverse path.
 	c.sendAck()
@@ -330,25 +344,11 @@ func (c *Conn) handleAck(ack, rwnd int64) {
 		if c.cwnd > c.F.P.MaxCwnd {
 			c.cwnd = c.F.P.MaxCwnd
 		}
-		c.dropHeadMessages()
 	}
 	if c.Trace != nil {
 		c.Trace.sampleAck(c)
 	}
 	c.pump()
-}
-
-// dropHeadMessages releases fully-acknowledged messages from the send queue.
-func (c *Conn) dropHeadMessages() {
-	i := 0
-	for ; i < len(c.sendQ); i++ {
-		if c.sendQ[i].endSeq > c.ackedSeq {
-			break
-		}
-	}
-	if i > 0 {
-		c.sendQ = append(c.sendQ[:0], c.sendQ[i:]...)
-	}
 }
 
 // armRTO starts the retransmission timer if it is not running.
@@ -410,9 +410,6 @@ func (c *Conn) Reply(size int64, meta interface{}) {
 		c.Dst.stats.LinkDrops++
 		return
 	}
-	c.Dst.Egress.Send(size, func() {
-		if c.OnReply != nil {
-			c.OnReply(meta)
-		}
-	})
+	c.replyQ = append(c.replyQ, meta)
+	c.Dst.Egress.SendCall(size, c, opReply, 0, 0)
 }

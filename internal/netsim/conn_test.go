@@ -320,3 +320,30 @@ func TestConnAccessors(t *testing.T) {
 		t.Fatal("String empty")
 	}
 }
+
+// TestReadHeadClearsVacatedSlot checks that consuming the head message
+// leaves no stale pointer in the receive queue's backing array: the
+// receiver frames on the sender's Message, which may be embedded in a
+// larger object the stale slot would keep alive.
+func TestReadHeadClearsVacatedSlot(t *testing.T) {
+	e := sim.NewEngine()
+	f, clients, srv := testFabric(e, DefaultParams(), 1, 1.25e9)
+	c := f.Dial(clients[0], srv, 0)
+	reads := 0
+	c.OnReadable = func(cc *Conn, m *Message) {
+		cc.ReadHead()
+		reads++
+		for _, x := range cc.rcvQ[len(cc.rcvQ):cap(cc.rcvQ)] {
+			if x != nil {
+				t.Fatalf("read %d: receive queue keeps a vacated slot", reads)
+			}
+		}
+	}
+	for i := 0; i < 32; i++ {
+		c.Send(&Message{Size: 256 << 10})
+	}
+	e.Run()
+	if reads != 32 {
+		t.Fatalf("read %d of 32 messages", reads)
+	}
+}

@@ -42,12 +42,12 @@ func (cl *Client) ConnTo(srv *Server) *netsim.Conn {
 	c := cl.fs.Fabric.Dial(cl.Host, srv.Host, cl.App)
 	c.OnReadable = srv.onReadable
 	c.OnReply = func(meta interface{}) {
-		r := meta.(*replyMsg)
-		if r.st != nil && r.st.sub != nil {
-			r.st.sub.reply(r.st)
+		st := meta.(*chunkMsg).st
+		if st.sub != nil {
+			st.sub.reply(st)
 			return
 		}
-		r.req.replied()
+		st.req.replied()
 	}
 	cl.conns[srv.ID] = c
 	return c
@@ -75,41 +75,38 @@ func (cl *Client) ReadAsync(f *File, off, size int64, onDone func()) {
 func (cl *Client) Outstanding() int { return int(cl.inflight) }
 
 func (cl *Client) ioAsync(f *File, off, size int64, read bool, onDone func()) {
-	perSrv := f.layout.PerServer(off, size)
-	req := &clientReq{onDone: onDone, recIdx: -1}
-
-	type srvPlan struct {
-		pos    int
-		chunks []Run
-	}
-	var plans []srvPlan
-	for pos, runs := range perSrv {
-		if len(runs) == 0 {
-			continue
-		}
-		flow := f.servers[pos].P.FlowBufSize
-		var chunks []Run
-		for _, r := range runs {
-			for o := int64(0); o < r.Size; o += flow {
-				n := flow
-				if rem := r.Size - o; rem < n {
-					n = rem
-				}
-				chunks = append(chunks, Run{Local: r.Local + o, Size: n})
-			}
-		}
-		plans = append(plans, srvPlan{pos: pos, chunks: chunks})
-	}
-	if len(plans) == 0 {
+	shares := f.layout.PerServer(off, size)
+	if len(shares) == 0 {
 		cl.fs.E.Schedule(0, onDone)
 		return
 	}
-	req.cl = cl
+	req := cl.begin(f, off, size, read, shares)
+	req.onDone = onDone
+	// Writes: one reply per server. Reads: one reply per chunk (each reply
+	// carries a chunk of data).
+	if read {
+		for _, sh := range shares {
+			req.remaining += chunkCount(sh.Size, f.servers[sh.SrvPos].P.FlowBufSize)
+		}
+	} else {
+		req.remaining = len(shares)
+	}
+	for _, sh := range shares {
+		conn := cl.ConnTo(f.servers[sh.SrvPos])
+		f.newShare(req, sh, read).send(conn)
+	}
+}
+
+// begin opens a request that has at least one share: it counts toward the
+// client's outstanding depth and, when a trace sink is attached, opens the
+// request's record.
+func (cl *Client) begin(f *File, off, size int64, read bool, shares []Share) *clientReq {
+	req := &clientReq{cl: cl, recIdx: -1}
 	cl.inflight++
 	if s := cl.fs.Sink; s != nil {
 		srv := int32(-1)
-		if len(plans) == 1 {
-			srv = int32(f.servers[plans[0].pos].ID)
+		if len(shares) == 1 {
+			srv = int32(f.servers[shares[0].SrvPos].ID)
 		}
 		op := OpWrite
 		if read {
@@ -121,39 +118,7 @@ func (cl *Client) ioAsync(f *File, off, size int64, read bool, onDone func()) {
 			QD: cl.inflight, Op: op,
 		})
 	}
-	// Writes: one reply per server. Reads: one reply per chunk (each reply
-	// carries a chunk of data).
-	if read {
-		for _, p := range plans {
-			req.remaining += len(p.chunks)
-		}
-	} else {
-		req.remaining = len(plans)
-	}
-	for _, p := range plans {
-		srv := f.servers[p.pos]
-		conn := cl.ConnTo(srv)
-		var bytes int64
-		for _, ck := range p.chunks {
-			bytes += ck.Size
-		}
-		st := &srvReqState{
-			remaining: len(p.chunks), bytes: bytes,
-			issued: cl.fs.jitteredIssue(),
-			issueAt: cl.fs.E.Now(), read: read,
-		}
-		for _, ck := range p.chunks {
-			meta := &chunkMsg{
-				req: req, srvState: st, fileID: f.locals[p.pos],
-				local: ck.Local, size: ck.Size, read: read,
-			}
-			wire := ck.Size
-			if read {
-				wire = reqDescriptorBytes // only the descriptor goes out
-			}
-			conn.Send(&netsim.Message{Size: wire, Meta: meta})
-		}
-	}
+	return req
 }
 
 // reqDescriptorBytes is the wire size of a read request descriptor.

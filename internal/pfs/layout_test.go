@@ -1,9 +1,88 @@
 package pfs
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// Piece is one stripe fragment of a logical extent, in file order.
+type Piece struct {
+	SrvPos int   // position in the file's server list
+	Local  int64 // offset within the server-local byte stream
+	Size   int64
+}
+
+// Map is the stripe-by-stripe oracle for the closed-form PerServer: it
+// splits the logical extent [off, off+size) into stripe pieces in file
+// order.
+func (l Layout) Map(off, size int64) []Piece {
+	l.check(off, size)
+	var out []Piece
+	for size > 0 {
+		g := off / l.Stripe
+		in := off % l.Stripe
+		n := l.Stripe - in
+		if n > size {
+			n = size
+		}
+		out = append(out, Piece{
+			SrvPos: int(g % int64(l.Width)),
+			Local:  (g/int64(l.Width))*l.Stripe + in,
+			Size:   n,
+		})
+		off += n
+		size -= n
+	}
+	return out
+}
+
+// mapAndMerge is the oracle for PerServer: Map the extent, then merge
+// contiguous pieces per server. It returns one slice of local runs per
+// server position (empty for untouched servers).
+func (l Layout) mapAndMerge(off, size int64) [][]Run {
+	runs := make([][]Run, l.Width)
+	for _, p := range l.Map(off, size) {
+		rs := runs[p.SrvPos]
+		if n := len(rs); n > 0 && rs[n-1].Local+rs[n-1].Size == p.Local {
+			rs[n-1].Size += p.Size
+		} else {
+			rs = append(rs, Run{Local: p.Local, Size: p.Size})
+		}
+		runs[p.SrvPos] = rs
+	}
+	return runs
+}
+
+// agreesWithOracle reports whether the closed-form PerServer and
+// ServersTouched match the Map-and-merge oracle on one extent: exactly one
+// run per touched server, in position order, and no other shares.
+func agreesWithOracle(t *testing.T, l Layout, off, size int64) bool {
+	t.Helper()
+	want := l.mapAndMerge(off, size)
+	got := l.PerServer(off, size)
+	var i, touched int
+	for pos, rs := range want {
+		if len(rs) == 0 {
+			continue
+		}
+		touched++
+		if len(rs) != 1 || i >= len(got) || got[i] != (Share{SrvPos: pos, Run: rs[0]}) {
+			t.Errorf("%+v.PerServer(%d, %d) = %+v, oracle %+v", l, off, size, got, want)
+			return false
+		}
+		i++
+	}
+	if i != len(got) || cap(got) != len(got) {
+		t.Errorf("%+v.PerServer(%d, %d) = %+v (cap %d), oracle %+v", l, off, size, got, cap(got), want)
+		return false
+	}
+	if n := l.ServersTouched(off, size); n != touched {
+		t.Errorf("%+v.ServersTouched(%d, %d) = %d, oracle %d", l, off, size, n, touched)
+		return false
+	}
+	return true
+}
 
 func TestLayoutMapSingleStripe(t *testing.T) {
 	l := Layout{Width: 4, Stripe: 64 << 10}
@@ -50,7 +129,7 @@ func TestLayoutPerServerMergesContiguous(t *testing.T) {
 	// A full-width-aligned extent is contiguous on every server.
 	l := Layout{Width: 4, Stripe: 64 << 10}
 	size := int64(8 << 20) // 128 stripes, 32 per server
-	runs := l.PerServer(0, size)
+	runs := l.mapAndMerge(0, size)
 	for pos, rs := range runs {
 		if len(rs) != 1 {
 			t.Fatalf("server %d has %d runs, want 1: %+v", pos, len(rs), rs)
@@ -62,6 +141,15 @@ func TestLayoutPerServerMergesContiguous(t *testing.T) {
 			t.Fatalf("server %d local = %d", pos, rs[0].Local)
 		}
 	}
+	shares := l.PerServer(0, size)
+	if len(shares) != 4 {
+		t.Fatalf("PerServer = %+v, want 4 shares", shares)
+	}
+	for pos, sh := range shares {
+		if sh.SrvPos != pos || sh.Run != runs[pos][0] {
+			t.Fatalf("share %d = %+v, want %+v", pos, sh, runs[pos][0])
+		}
+	}
 }
 
 func TestLayoutStridedLeavesHoles(t *testing.T) {
@@ -69,13 +157,18 @@ func TestLayoutStridedLeavesHoles(t *testing.T) {
 	// touches each server once; consecutive blocks of the same writer are
 	// NOT contiguous locally (the gap maps to the same servers).
 	l := Layout{Width: 4, Stripe: 64 << 10}
+	agreesWithOracle(t, l, 0, 256<<10)
+	agreesWithOracle(t, l, 512<<10, 256<<10)
 	a := l.PerServer(0, 256<<10)
 	b := l.PerServer(512<<10, 256<<10)
+	if len(a) != 4 || len(b) != 4 {
+		t.Fatalf("shares per block: %v %v", a, b)
+	}
 	for pos := 0; pos < 4; pos++ {
-		if len(a[pos]) != 1 || len(b[pos]) != 1 {
-			t.Fatalf("runs per block: %v %v", a[pos], b[pos])
+		if a[pos].SrvPos != pos || b[pos].SrvPos != pos {
+			t.Fatalf("shares out of position order: %v %v", a, b)
 		}
-		if a[pos][0].Local+a[pos][0].Size == b[pos][0].Local {
+		if a[pos].Local+a[pos].Size == b[pos].Local {
 			t.Fatalf("server %d: blocks unexpectedly contiguous", pos)
 		}
 	}
@@ -137,18 +230,13 @@ func TestPropertyPerServerConserves(t *testing.T) {
 		size := int64(size32 % (1 << 18))
 		l := Layout{Width: width, Stripe: stripe}
 		var sum int64
-		for _, rs := range l.PerServer(off, size) {
-			var prevEnd int64 = -1
-			for _, r := range rs {
-				if r.Size <= 0 || r.Local < 0 {
-					return false
-				}
-				if prevEnd >= 0 && r.Local < prevEnd {
-					return false // overlap or disorder
-				}
-				prevEnd = r.Local + r.Size
-				sum += r.Size
+		prevPos := -1
+		for _, sh := range l.PerServer(off, size) {
+			if sh.Size <= 0 || sh.Local < 0 || sh.SrvPos <= prevPos || sh.SrvPos >= width {
+				return false // empty, negative, duplicated or disordered
 			}
+			prevPos = sh.SrvPos
+			sum += sh.Size
 		}
 		return sum == size
 	}
@@ -157,11 +245,57 @@ func TestPropertyPerServerConserves(t *testing.T) {
 	}
 }
 
+// TestLayoutClosedFormMatchesOracle checks the closed-form PerServer and
+// ServersTouched against the Map-and-merge oracle: the edge cases by hand,
+// then random layouts and extents.
+func TestLayoutClosedFormMatchesOracle(t *testing.T) {
+	for _, c := range []struct {
+		l         Layout
+		off, size int64
+	}{
+		{Layout{Width: 4, Stripe: 100}, 0, 0},      // size == 0
+		{Layout{Width: 4, Stripe: 100}, 250, 0},    // size == 0, unaligned
+		{Layout{Width: 4, Stripe: 100}, 120, 30},   // inside a single stripe
+		{Layout{Width: 4, Stripe: 100}, 300, 100},  // exactly one stripe
+		{Layout{Width: 4, Stripe: 100}, 150, 200},  // unaligned start and end
+		{Layout{Width: 4, Stripe: 100}, 350, 100},  // wraps past the last server
+		{Layout{Width: 4, Stripe: 100}, 0, 400},    // exactly Width stripes
+		{Layout{Width: 4, Stripe: 100}, 50, 400},   // Width+1 stripes, unaligned
+		{Layout{Width: 4, Stripe: 100}, 399, 1702}, // many times wider than Width
+		{Layout{Width: 1, Stripe: 7}, 3, 100},      // a single server
+		{Layout{Width: 12, Stripe: 64 << 10}, 0, 256 << 10},
+		{Layout{Width: 3, Stripe: 1}, 5, 11},
+	} {
+		agreesWithOracle(t, c.l, c.off, c.size)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 5000; i++ {
+		l := Layout{Width: 1 + rng.Intn(16), Stripe: 1 + rng.Int63n(512)}
+		off := rng.Int63n(1 << 14)
+		var size int64
+		switch rng.Intn(4) {
+		case 0: // within a stripe or two
+			size = rng.Int63n(l.Stripe + 1)
+		case 1: // around Width stripes
+			size = rng.Int63n(2*int64(l.Width)*l.Stripe + 1)
+		default: // anything, up to many times Width stripes
+			size = rng.Int63n(1 << 15)
+		}
+		if !agreesWithOracle(t, l, off, size) {
+			return
+		}
+	}
+}
+
 func TestLayoutPanics(t *testing.T) {
 	for _, fn := range []func(){
-		func() { Layout{Width: 0, Stripe: 1}.Map(0, 1) },
-		func() { Layout{Width: 1, Stripe: 0}.Map(0, 1) },
-		func() { Layout{Width: 1, Stripe: 1}.Map(-1, 1) },
+		func() { Layout{Width: 0, Stripe: 1}.PerServer(0, 1) },
+		func() { Layout{Width: 1, Stripe: 0}.PerServer(0, 1) },
+		func() { Layout{Width: 1, Stripe: 1}.PerServer(-1, 1) },
+		func() { Layout{Width: 0, Stripe: 1}.ServersTouched(0, 1) },
+		func() { Layout{Width: 1, Stripe: 0}.ServersTouched(0, 1) },
+		func() { Layout{Width: 1, Stripe: 1}.ServersTouched(-1, 1) },
+		func() { Layout{Width: 1, Stripe: 1}.ServersTouched(0, -1) },
 	} {
 		func() {
 			defer func() {

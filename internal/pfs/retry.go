@@ -6,7 +6,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/storage"
 )
 
 // ErrUnavailable is returned by the retrying RPC path when a request's
@@ -46,9 +45,8 @@ type subOp struct {
 	req    *clientReq
 	cl     *Client
 	conn   *netsim.Conn
-	fileID storage.FileID
-	chunks []Run
-	bytes  int64
+	f      *File
+	share  Share
 	read   bool
 	expect int // replies that complete one attempt
 
@@ -61,29 +59,15 @@ type subOp struct {
 // rp returns the deployment's retry policy (EnableRetry installed it).
 func (so *subOp) rp() *fault.RetryPolicy { return so.cl.fs.Retry }
 
-// send transmits one attempt: a fresh wire-visible request state (the
-// previous attempt's may be dead at the server) and all chunks, then arms
-// the attempt's deadline.
+// send transmits one attempt: a fresh wire-visible request state and chunk
+// slab (the previous attempt's may be dead at the server), then arms the
+// attempt's deadline.
 func (so *subOp) send() {
 	fs := so.cl.fs
-	st := &srvReqState{
-		remaining: len(so.chunks), bytes: so.bytes,
-		issued: fs.jitteredIssue(), sub: so,
-		issueAt: fs.E.Now(), read: so.read,
-	}
+	st := so.f.newShare(so.req, so.share, so.read)
+	st.sub = so
 	so.st = st
-	for i := range so.chunks {
-		ck := so.chunks[i]
-		meta := &chunkMsg{
-			req: so.req, srvState: st, fileID: so.fileID,
-			local: ck.Local, size: ck.Size, read: so.read,
-		}
-		wire := ck.Size
-		if so.read {
-			wire = reqDescriptorBytes
-		}
-		so.conn.Send(&netsim.Message{Size: wire, Meta: meta})
-	}
+	st.send(so.conn)
 	fs.E.AtCall(fs.E.Now()+so.rp().Deadline, so, opDeadline, so.attempt, 0)
 }
 
@@ -131,69 +115,25 @@ func (so *subOp) OnEvent(op uint32, a, b int64) {
 // completion callback carries an error (nil, or ErrUnavailable when some
 // share exhausted its retries).
 func (cl *Client) ioRetry(f *File, off, size int64, read bool, onErr func(error)) {
-	perSrv := f.layout.PerServer(off, size)
-	req := &clientReq{onErr: onErr, recIdx: -1}
-
-	type srvPlan struct {
-		pos    int
-		chunks []Run
-	}
-	var plans []srvPlan
-	for pos, runs := range perSrv {
-		if len(runs) == 0 {
-			continue
-		}
-		flow := f.servers[pos].P.FlowBufSize
-		var chunks []Run
-		for _, r := range runs {
-			for o := int64(0); o < r.Size; o += flow {
-				n := flow
-				if rem := r.Size - o; rem < n {
-					n = rem
-				}
-				chunks = append(chunks, Run{Local: r.Local + o, Size: n})
-			}
-		}
-		plans = append(plans, srvPlan{pos: pos, chunks: chunks})
-	}
-	if len(plans) == 0 {
+	shares := f.layout.PerServer(off, size)
+	if len(shares) == 0 {
 		cl.fs.E.Schedule(0, func() { onErr(nil) })
 		return
 	}
-	req.cl = cl
-	cl.inflight++
-	if s := cl.fs.Sink; s != nil {
-		srv := int32(-1)
-		if len(plans) == 1 {
-			srv = int32(f.servers[plans[0].pos].ID)
-		}
-		op := OpWrite
-		if read {
-			op = OpRead
-		}
-		req.recIdx = s.BeginRequest(IORecord{
-			Time: cl.fs.E.Now(), Off: off, Bytes: size,
-			App: int32(cl.App), Rank: int32(cl.Rank), Server: srv,
-			QD: cl.inflight, Op: op,
-		})
-	}
-	req.remaining = len(plans) // one subDone per server share
-	req.subs = make([]subOp, len(plans))
+	req := cl.begin(f, off, size, read, shares)
+	req.onErr = onErr
+	req.remaining = len(shares) // one subDone per server share
+	req.subs = make([]subOp, len(shares))
 	rp := cl.fs.Retry
-	for i, p := range plans {
-		srv := f.servers[p.pos]
-		var bytes int64
-		for _, ck := range p.chunks {
-			bytes += ck.Size
-		}
+	for i, sh := range shares {
+		srv := f.servers[sh.SrvPos]
 		expect := 1 // writes: one reply per server share
 		if read {
-			expect = len(p.chunks) // reads: one data reply per chunk
+			expect = chunkCount(sh.Size, srv.P.FlowBufSize) // reads: one data reply per chunk
 		}
 		so := &req.subs[i]
 		*so = subOp{
-			req: req, cl: cl, conn: cl.ConnTo(srv),
-			fileID: f.locals[p.pos], chunks: p.chunks, bytes: bytes,
+			req: req, cl: cl, conn: cl.ConnTo(srv), f: f, share: sh,
 			read: read, expect: expect, backoff: rp.Backoff,
 		}
 		so.send()

@@ -244,10 +244,12 @@ func (s *Server) Crash() {
 	for _, st := range s.reqQueue {
 		s.abortReq(st)
 	}
+	clear(s.reqQueue)
 	s.reqQueue = s.reqQueue[:0]
 	for _, st := range s.activeReqs {
 		s.abortReq(st)
 	}
+	clear(s.activeReqs)
 	s.activeReqs = s.activeReqs[:0]
 	s.freeFlows = s.P.FlowBufs
 }
@@ -269,11 +271,10 @@ func (s *Server) Restart() {
 func (s *Server) abortReq(st *srvReqState) {
 	st.dead = true
 	st.active = false
-	for _, m := range st.pending {
+	for ; st.taken < st.readable; st.taken++ {
 		st.conn.ReadHead()
-		s.Tel.Discard(m.Size)
+		s.Tel.Discard(st.chunks[st.taken].msg.Size)
 	}
-	st.pending = st.pending[:0]
 }
 
 // QueuedRequests returns how many requests await a flow slot.
@@ -291,7 +292,7 @@ func (s *Server) newFileID() storage.FileID {
 // in the socket, keeping the sender's window shut.
 func (s *Server) onReadable(c *netsim.Conn, m *netsim.Message) {
 	ck := m.Meta.(*chunkMsg)
-	st := ck.srvState
+	st := ck.st
 	if s.down || st.dead {
 		// Crashed server (or a request the crash killed): read the chunk
 		// off the wire and throw it away. Marking the request dead makes
@@ -302,9 +303,8 @@ func (s *Server) onReadable(c *netsim.Conn, m *netsim.Message) {
 		s.Tel.Discard(m.Size)
 		return
 	}
-	st.pending = append(st.pending, m)
-	if !st.arrived {
-		st.arrived = true
+	st.readable++
+	if st.readable == 1 {
 		st.conn = c
 		st.arriveAt = s.E.Now()
 		s.stats.Requests++
@@ -398,8 +398,9 @@ func (s *Server) pump() {
 			return
 		}
 		st := s.reqQueue[i]
-		copy(s.reqQueue[i:], s.reqQueue[i+1:])
-		s.reqQueue = s.reqQueue[:len(s.reqQueue)-1]
+		n := i + copy(s.reqQueue[i:], s.reqQueue[i+1:])
+		s.reqQueue[n] = nil // the vacated tail slot must not pin a share
+		s.reqQueue = s.reqQueue[:n]
 		s.freeFlows--
 		st.active = true
 		st.grantAt = s.E.Now()
@@ -427,92 +428,58 @@ func (s *Server) consume(st *srvReqState) {
 	if s.adv != nil {
 		appBudget = s.adv.AppDepth(st.conn.App)
 	}
-	for len(st.pending) > 0 && st.inflight < depth {
+	for st.taken < st.readable && st.inflight < depth {
 		if appBudget > 0 && s.Tel.App(st.conn.App).InFlight >= int64(appBudget) {
 			return
 		}
-		m := st.pending[0]
-		copy(st.pending, st.pending[1:])
-		st.pending = st.pending[:len(st.pending)-1]
-		ck := m.Meta.(*chunkMsg)
+		ck := &st.chunks[st.taken]
+		st.taken++
 		st.conn.ReadHead()
 		st.inflight++
 		s.stats.Chunks++
-		s.stats.Bytes += ck.size
-		s.Tel.Consume(st.conn.App, ck.size)
-		chunk := ck
-		s.cpu.Send(chunk.size, func() { s.store(st.conn, chunk) })
+		s.stats.Bytes += ck.dev.Size
+		s.Tel.Consume(st.conn.App, ck.dev.Size)
+		s.cpu.SendCall(ck.dev.Size, ck, opProcessed, 0, 0)
 	}
 }
 
-// store hands the chunk to the backend according to the sync mode.
-func (s *Server) store(c *netsim.Conn, ck *chunkMsg) {
-	if ck.read {
-		// Read chunk: fetch from the device and ship the data back on the
-		// reply path; each chunk replies individually with its data.
-		done := func() {
-			if ck.srvState.dead {
-				return
-			}
-			s.stats.Replies++
-			s.Tel.Done(c.App, ck.size)
-			c.Reply(ck.size, &replyMsg{req: ck.req, st: ck.srvState})
-			s.readChunkDone(ck.srvState)
-		}
-		if s.P.Sync == NullAIO {
-			s.E.Schedule(0, done)
-			return
-		}
-		s.Dev.Submit(&storage.Request{
-			File: ck.fileID, Offset: ck.local, Size: ck.size,
-			Stream: storage.StreamID(c.App), Read: true, Done: done,
-		})
-		return
-	}
-	done := func() { s.chunkDone(c, ck) }
-	req := &storage.Request{
-		File:   ck.fileID,
-		Offset: ck.local,
-		Size:   ck.size,
-		Stream: storage.StreamID(c.App),
-		Done:   done,
-	}
-	switch s.P.Sync {
-	case SyncOn:
-		s.Dev.Submit(req)
-	case SyncOff:
-		s.Cache.Write(req)
-	case NullAIO:
-		s.E.Schedule(0, done)
+// store hands a processed chunk to the backend according to the sync mode.
+// Reads always fetch from the device; writes go to the device (SyncOn) or
+// the write-back cache (SyncOff). Null-aio completes either at once.
+func (s *Server) store(ck *chunkMsg) {
+	ck.dev.Stream = storage.StreamID(ck.st.conn.App)
+	ck.dev.Done = ck
+	switch {
+	case s.P.Sync == NullAIO:
+		s.E.ScheduleCall(0, ck, opStored, 0, 0)
+	case ck.dev.Read || s.P.Sync == SyncOn:
+		s.Dev.Submit(&ck.dev)
+	case s.P.Sync == SyncOff:
+		s.Cache.Write(&ck.dev)
 	}
 }
 
-// chunkDone accounts a stored write chunk; when the whole request's share
-// on this server is stored, it replies and frees the flow slot.
-func (s *Server) chunkDone(c *netsim.Conn, ck *chunkMsg) {
-	st := ck.srvState
+// stored accounts a stored write chunk or a fetched read chunk. Each read
+// chunk ships its data back on the reply path; a write share replies once,
+// when its last chunk is stored. The share's last chunk frees the flow
+// slot.
+func (s *Server) stored(ck *chunkMsg) {
+	st := ck.st
 	if st.dead {
 		return
 	}
+	c := st.conn
 	st.remaining--
 	st.inflight--
-	s.Tel.Done(c.App, ck.size)
-	if st.remaining == 0 {
+	s.Tel.Done(c.App, ck.dev.Size)
+	switch {
+	case ck.dev.Read:
 		s.stats.Replies++
-		c.Reply(s.P.RespBytes, &replyMsg{req: ck.req, st: st})
-		s.finishFlow(st)
-		return
+		c.Reply(ck.dev.Size, ck)
+	case st.remaining == 0:
+		s.stats.Replies++
+		c.Reply(s.P.RespBytes, ck)
 	}
-	s.refill(st)
-}
-
-// readChunkDone accounts a served read chunk and frees the flow at the end.
-func (s *Server) readChunkDone(st *srvReqState) {
-	if st.dead {
-		return
-	}
-	st.remaining--
-	st.inflight--
 	if st.remaining == 0 {
 		s.finishFlow(st)
 		return
@@ -555,8 +522,9 @@ func (s *Server) finishFlow(st *srvReqState) {
 	}
 	for i, a := range s.activeReqs {
 		if a == st {
-			copy(s.activeReqs[i:], s.activeReqs[i+1:])
-			s.activeReqs = s.activeReqs[:len(s.activeReqs)-1]
+			n := i + copy(s.activeReqs[i:], s.activeReqs[i+1:])
+			s.activeReqs[n] = nil // the vacated tail slot must not pin a share
+			s.activeReqs = s.activeReqs[:n]
 			break
 		}
 	}

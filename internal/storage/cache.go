@@ -26,12 +26,22 @@ func DefaultCache() CacheParams {
 // to the backing device in the background. When the dirty limit is reached,
 // incoming writes block — this back-pressure is what couples a slow disk to
 // the network even with synchronization off.
+//
+// The cache takes ownership of every request written to it. An admitted
+// request is acknowledged through the completer it arrived with once its
+// copy into memory completes; the same Request is also queued for
+// write-back to Dev, with the cache as its completer. No stage allocates
+// per write.
 type WriteCache struct {
 	E   *sim.Engine
 	P   CacheParams
 	Dev Device
 
 	copyLine *sim.Line
+	// copying holds the admitted writes whose copy is on copyLine, in
+	// admission order, with the completer each arrived with. The line is
+	// FIFO, so every copy-done event completes the head.
+	copying  []pendingAck
 	dirty    int64
 	flushQ   []*Request
 	inFlight int
@@ -41,6 +51,12 @@ type WriteCache struct {
 	flushed      int64
 	blockedCount int64
 	drainFns     []func()
+}
+
+// pendingAck is an admitted write awaiting its copy-done acknowledgement.
+type pendingAck struct {
+	r    *Request
+	done Completer
 }
 
 // NewWriteCache returns a cache flushing to dev.
@@ -63,8 +79,9 @@ func (c *WriteCache) Flushed() int64 { return c.flushed }
 // BlockedWrites returns how many writes had to wait for dirty-limit room.
 func (c *WriteCache) BlockedWrites() int64 { return c.blockedCount }
 
-// Write absorbs r; r.Done fires when the copy into memory completes. If the
-// dirty limit is exceeded the write waits (FIFO) for flushing to make room.
+// Write absorbs r; r.Done.Complete(r) fires when the copy into memory
+// completes. If the dirty limit is exceeded the write waits (FIFO) for
+// flushing to make room. r must not be reused: the cache writes it back.
 func (c *WriteCache) Write(r *Request) {
 	if c.hasRoom(r) && len(c.blocked) == 0 {
 		c.admit(r)
@@ -90,33 +107,44 @@ func (c *WriteCache) hasRoom(r *Request) bool {
 func (c *WriteCache) admit(r *Request) {
 	c.dirty += r.Size
 	c.absorbed += r.Size
-	done := r.Done
-	c.copyLine.Send(r.Size, func() {
-		if done != nil {
-			done()
-		}
-	})
-	// Queue the extent for background flushing (its completion is internal).
-	fr := &Request{File: r.File, Offset: r.Offset, Size: r.Size, Stream: r.Stream}
-	c.flushQ = append(c.flushQ, fr)
+	c.copying = append(c.copying, pendingAck{r: r, done: r.Done})
+	c.copyLine.SendCall(r.Size, c, 0, 0, 0)
+	// Queue the extent for background flushing; from here on the request's
+	// completion belongs to the cache.
+	r.Done = c
+	c.flushQ = append(c.flushQ, r)
 	c.kickFlusher()
+}
+
+// OnEvent implements sim.Target: the head admitted write's copy into
+// memory completed, so it is acknowledged.
+func (c *WriteCache) OnEvent(op uint32, a, b int64) {
+	w := c.copying[0]
+	n := copy(c.copying, c.copying[1:])
+	c.copying[n] = pendingAck{}
+	c.copying = c.copying[:n]
+	if w.done != nil {
+		w.done.Complete(w.r)
+	}
+}
+
+// Complete implements Completer: a write-back of r to Dev completed.
+func (c *WriteCache) Complete(r *Request) {
+	c.inFlight--
+	c.dirty -= r.Size
+	c.flushed += r.Size
+	c.admitBlocked()
+	c.kickFlusher()
+	c.checkDrained()
 }
 
 func (c *WriteCache) kickFlusher() {
 	for c.inFlight < c.P.FlushDepth && len(c.flushQ) > 0 {
 		fr := c.flushQ[0]
-		copy(c.flushQ, c.flushQ[1:])
-		c.flushQ = c.flushQ[:len(c.flushQ)-1]
+		n := copy(c.flushQ, c.flushQ[1:])
+		c.flushQ[n] = nil // the vacated tail slot must not pin a flushed request
+		c.flushQ = c.flushQ[:n]
 		c.inFlight++
-		size := fr.Size
-		fr.Done = func() {
-			c.inFlight--
-			c.dirty -= size
-			c.flushed += size
-			c.admitBlocked()
-			c.kickFlusher()
-			c.checkDrained()
-		}
 		c.Dev.Submit(fr)
 	}
 }
@@ -124,8 +152,9 @@ func (c *WriteCache) kickFlusher() {
 func (c *WriteCache) admitBlocked() {
 	for len(c.blocked) > 0 && c.hasRoom(c.blocked[0]) {
 		r := c.blocked[0]
-		copy(c.blocked, c.blocked[1:])
-		c.blocked = c.blocked[:len(c.blocked)-1]
+		n := copy(c.blocked, c.blocked[1:])
+		c.blocked[n] = nil // the vacated tail slot must not pin an admitted request
+		c.blocked = c.blocked[:n]
 		c.admit(r)
 	}
 }

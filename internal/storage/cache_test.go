@@ -17,7 +17,7 @@ func TestCacheAbsorbsAtMemorySpeed(t *testing.T) {
 	e := sim.NewEngine()
 	c, _ := testCache(e, 1<<30)
 	var ackAt sim.Time
-	c.Write(&Request{File: 1, Offset: 0, Size: 100 << 20, Done: func() { ackAt = e.Now() }})
+	c.Write(&Request{File: 1, Offset: 0, Size: 100 << 20, Done: DoneFunc(func() { ackAt = e.Now() })})
 	e.Run()
 	// Ack at memcpy speed (100 MB at 1 GB/s = 100 ms), much sooner than the
 	// ~1 s the disk needs.
@@ -38,7 +38,7 @@ func TestCacheDirtyLimitBlocksWriters(t *testing.T) {
 	var acks []sim.Time
 	for i := 0; i < 8; i++ {
 		off := int64(i) * (5 << 20)
-		c.Write(&Request{File: 1, Offset: off, Size: 5 << 20, Done: func() { acks = append(acks, e.Now()) }})
+		c.Write(&Request{File: 1, Offset: off, Size: 5 << 20, Done: DoneFunc(func() { acks = append(acks, e.Now()) })})
 	}
 	e.Run()
 	if len(acks) != 8 {
@@ -69,7 +69,7 @@ func TestCacheOversizedRequestAdmittedWhenEmpty(t *testing.T) {
 	e := sim.NewEngine()
 	c, _ := testCache(e, 1<<20)
 	done := false
-	c.Write(&Request{File: 1, Offset: 0, Size: 8 << 20, Done: func() { done = true }})
+	c.Write(&Request{File: 1, Offset: 0, Size: 8 << 20, Done: DoneFunc(func() { done = true })})
 	e.Run()
 	if !done {
 		t.Fatal("oversized request deadlocked")
@@ -130,7 +130,7 @@ func TestPropertyCacheConserves(t *testing.T) {
 			size := int64(s) + 1
 			want += size
 			c.Write(&Request{File: FileID(i % 2), Offset: int64(i) << 20, Size: size,
-				Done: func() { acked++ }})
+				Done: DoneFunc(func() { acked++ })})
 		}
 		e.Run()
 		return acked == len(sizes) && c.Dirty() == 0 && c.Absorbed() == want && c.Flushed() == want

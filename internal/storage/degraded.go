@@ -89,7 +89,7 @@ func (d *Degraded) Submit(r *Request) {
 	d.slowed++
 	d.slowedBytes += r.Size
 	orig := r.Done
-	r.Done = func() {
+	r.Done = DoneFunc(func() {
 		if orig == nil {
 			return
 		}
@@ -98,8 +98,8 @@ func (d *Degraded) Submit(r *Request) {
 			at = d.busyUntil + extra
 		}
 		d.busyUntil = at
-		d.E.At(at, orig)
-	}
+		d.E.At(at, func() { orig.Complete(r) })
+	})
 	d.inner.Submit(r)
 }
 

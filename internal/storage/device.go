@@ -20,15 +20,15 @@ type FileID int32
 // use it only for statistics.
 type StreamID int32
 
-// Request is a single device I/O operation. Done runs (as a simulation
-// event) when the operation completes.
+// Request is a single device I/O operation. Done.Complete runs (as a
+// simulation event) when the operation completes.
 type Request struct {
 	File   FileID
 	Offset int64
 	Size   int64
 	Stream StreamID
 	Read   bool
-	Done   func()
+	Done   Completer
 
 	seq int64 // submission order, set by the device (elevator aging)
 }
@@ -48,7 +48,7 @@ type Stats struct {
 type Device interface {
 	// Name identifies the device kind ("hdd", "ssd", "ram", "null").
 	Name() string
-	// Submit enqueues a request; r.Done fires at completion.
+	// Submit enqueues a request; r.Done.Complete(r) fires at completion.
 	Submit(r *Request)
 	// Queued returns the number of requests waiting to enter service
 	// (requests currently in service are excluded).
@@ -59,9 +59,23 @@ type Device interface {
 	Stats() Stats
 }
 
-// completion invokes r.Done if set.
+// Completer receives a request's completion. An owner that outlives its
+// requests (a pfs chunk, the write cache) implements it once, so completing
+// a request allocates nothing; DoneFunc adapts a closure.
+type Completer interface {
+	Complete(r *Request)
+}
+
+// DoneFunc adapts an ordinary function to a Completer, the way
+// http.HandlerFunc adapts one to a Handler.
+type DoneFunc func()
+
+// Complete calls f.
+func (f DoneFunc) Complete(*Request) { f() }
+
+// complete invokes r.Done if set.
 func complete(r *Request) {
 	if r.Done != nil {
-		r.Done()
+		r.Done.Complete(r)
 	}
 }

@@ -142,8 +142,9 @@ func (d *HDD) serveNext() {
 	}
 	// Dequeue r.
 	q := d.perFile[r.File]
-	copy(q, q[1:])
-	d.perFile[r.File] = q[:len(q)-1]
+	n := copy(q, q[1:])
+	q[n] = nil // the vacated tail slot must not pin a served request
+	d.perFile[r.File] = q[:n]
 	d.queued--
 	d.queuedBytes -= r.Size
 

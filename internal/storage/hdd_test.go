@@ -23,7 +23,7 @@ func TestHDDSequentialNoExtraSeeks(t *testing.T) {
 	const size = 1 << 20
 	done := 0
 	for i := 0; i < n; i++ {
-		d.Submit(&Request{File: 1, Offset: int64(i) * size, Size: size, Done: func() { done++ }})
+		d.Submit(&Request{File: 1, Offset: int64(i) * size, Size: size, Done: DoneFunc(func() { done++ })})
 	}
 	e.Run()
 	if done != n {
@@ -138,7 +138,7 @@ func TestPropertyHDDCompletesAll(t *testing.T) {
 				File:   FileID(p.File % 4),
 				Offset: int64(p.Off),
 				Size:   size,
-				Done:   func() { got++ },
+				Done:   DoneFunc(func() { got++ }),
 			})
 			want++
 		}

@@ -57,8 +57,9 @@ func (d *serial) serveNext() {
 		return
 	}
 	r := d.queue[0]
-	copy(d.queue, d.queue[1:])
-	d.queue = d.queue[:len(d.queue)-1]
+	n := copy(d.queue, d.queue[1:])
+	d.queue[n] = nil // the vacated tail slot must not pin a served request
+	d.queue = d.queue[:n]
 	d.queuedBytes -= r.Size
 
 	dur := d.opLat + sim.TransferTime(r.Size, d.bw)

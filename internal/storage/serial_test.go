@@ -53,7 +53,7 @@ func TestNullCompletesAlmostInstantly(t *testing.T) {
 	d := NewNull(e)
 	n := 0
 	for i := 0; i < 100; i++ {
-		d.Submit(&Request{File: 1, Offset: int64(i), Size: 1 << 30, Done: func() { n++ }})
+		d.Submit(&Request{File: 1, Offset: int64(i), Size: 1 << 30, Done: DoneFunc(func() { n++ })})
 	}
 	e.Run()
 	if n != 100 {
@@ -70,7 +70,7 @@ func TestSerialFIFOOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		d.Submit(&Request{File: 1, Offset: int64(i * 100), Size: 100, Done: func() { order = append(order, i) }})
+		d.Submit(&Request{File: 1, Offset: int64(i * 100), Size: 100, Done: DoneFunc(func() { order = append(order, i) })})
 	}
 	e.Run()
 	for i, v := range order {

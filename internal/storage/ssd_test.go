@@ -19,7 +19,7 @@ func TestFlashChannelsOverlap(t *testing.T) {
 	var done int
 	for i := 0; i < 4; i++ {
 		d.Submit(&Request{File: 1, Offset: int64(i) << 20, Size: 1 << 20,
-			Done: func() { done++ }})
+			Done: DoneFunc(func() { done++ })})
 	}
 	e.Run()
 	if done != 4 {
@@ -103,7 +103,7 @@ func TestFlashFIFODispatchDeterministic(t *testing.T) {
 			i := i
 			submitAt(e, d, sim.Time(i)*sim.Microsecond,
 				&Request{File: 1, Offset: int64(i) << 20, Size: 1 << 20,
-					Done: func() { order = append(order, i) }})
+					Done: DoneFunc(func() { order = append(order, i) })})
 		}
 		e.Run()
 		return order
