@@ -68,9 +68,19 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
+// BenchmarkFigure2SyncOn also reports events/op, the events its δ points
+// execute: a pure function of the model, which benchguard gates exactly.
 func BenchmarkFigure2SyncOn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportSeries(b, paper.Fig2(benchScale, true, paper.GridCoarse))
+		series := paper.Fig2(benchScale, true, paper.GridCoarse)
+		reportSeries(b, series)
+		var events uint64
+		for _, s := range series {
+			for _, pt := range s.Graph.Points {
+				events += pt.Diag.Events
+			}
+		}
+		b.ReportMetric(float64(events), "events/op")
 	}
 }
 
@@ -276,7 +286,9 @@ func BenchmarkReadInterference(b *testing.B) {
 // seeded pairwise sample. Parallelism is forced to 1 so ns/op
 // measures the serial simulation path independent of the runner's core
 // count — this is the largest single simulation in the bench suite and the
-// one whose wall-clock tracks fleet-scale usability.
+// one whose wall-clock tracks fleet-scale usability. The co-run's event
+// count is reported twice: as events, for continuity with older snapshots,
+// and as events/op, which benchguard gates exactly.
 func BenchmarkFleetScenario(b *testing.B) {
 	s, err := scenario.Lookup("fleet")
 	if err != nil {
@@ -297,6 +309,7 @@ func BenchmarkFleetScenario(b *testing.B) {
 		b.ReportMetric(float64(len(f.Tenants)), "tenants")
 		b.ReportMetric(float64(f.Core.Shapes), "shapes")
 		b.ReportMetric(float64(f.Core.CoRun.Diag.Events), "events")
+		b.ReportMetric(float64(f.Core.CoRun.Diag.Events), "events/op") // gated exactly
 		b.ReportMetric(v[0], "p50_IF")
 		b.ReportMetric(v[1], "p95_IF")
 	}
@@ -347,6 +360,43 @@ func BenchmarkEngineHeapChurn(b *testing.B) {
 		h.OnEvent(0, 0, 0)
 	}
 	h.left = b.N
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
+// laneChurn re-sends on the delivering line at every delivery, so each
+// line keeps a fixed number of transfers in flight.
+type laneChurn struct {
+	lines []*sim.Line
+	left  int
+}
+
+func (l *laneChurn) OnEvent(op uint32, a, b int64) {
+	if l.left <= 0 {
+		return
+	}
+	l.left--
+	l.lines[a].SendCall(1500, l, 0, a, 0)
+}
+
+// BenchmarkEngineLaneChurn measures one pop plus one Line send at a fixed
+// pending depth of 64 lines × 64 transfers — the lane path every NIC
+// delivery takes, where EngineHeapChurn measures the plain heap path at
+// the same depth. Steady state must allocate nothing.
+func BenchmarkEngineLaneChurn(b *testing.B) {
+	const lines, depth = 64, 64
+	e := sim.NewEngine()
+	l := &laneChurn{left: lines * depth}
+	for i := 0; i < lines; i++ {
+		l.lines = append(l.lines, &sim.Line{E: e, Rate: 1.25e9, PerOp: sim.Time(i), Latency: 40 * sim.Microsecond})
+	}
+	for i := 0; i < lines*depth; i++ {
+		l.OnEvent(0, int64(i%lines), 0)
+	}
+	l.left = b.N
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

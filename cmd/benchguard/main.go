@@ -13,6 +13,11 @@
 // old median by more than 1% (a Figure 2 run's count varies by under
 // 0.01% between runs; a zero-allocation bench must stay at zero).
 //
+// events/op — the simulation events a campaign bench executes — is a pure
+// function of the model, so it is gated exactly: any difference from the
+// old median, up or down, fails. A kernel or transport change that claims
+// to keep the event stream proves it here.
+//
 // Usage:
 //
 //	benchguard -old BENCH_5.json -new BENCH_6.json [-tolerance 1.5] [-match regexp]
@@ -80,33 +85,44 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.e+]+
 // anywhere after the ns/op field of a result line.
 var allocsField = regexp.MustCompile(`\s([0-9.e+]+) allocs/op`)
 
+// eventsField matches the events/op metric a campaign bench reports with
+// b.ReportMetric.
+var eventsField = regexp.MustCompile(`\s([0-9.e+]+) events/op`)
+
 // parse returns ns/op samples per benchmark name.
 func parse(lines []string) map[string][]float64 {
-	ns, _ := parseAll(lines)
-	return ns
+	return parseField(lines, nil)
 }
 
 // parseAll returns the ns/op and the allocs/op samples per benchmark name;
 // a benchmark run without allocation reporting has no allocs/op samples.
 func parseAll(lines []string) (ns, allocs map[string][]float64) {
-	ns, allocs = make(map[string][]float64), make(map[string][]float64)
+	return parseField(lines, nil), parseField(lines, allocsField)
+}
+
+// parseField returns the samples, per benchmark name, of the metric that
+// field matches after the ns/op field of each result line — or of ns/op
+// itself when field is nil.
+func parseField(lines []string, field *regexp.Regexp) map[string][]float64 {
+	out := make(map[string][]float64)
 	for _, line := range lines {
 		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
-		v, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			continue
-		}
-		ns[m[1]] = append(ns[m[1]], v)
-		if a := allocsField.FindStringSubmatch(line[len(m[0]):]); a != nil {
-			if v, err := strconv.ParseFloat(a[1], 64); err == nil {
-				allocs[m[1]] = append(allocs[m[1]], v)
+		num := m[2]
+		if field != nil {
+			f := field.FindStringSubmatch(line[len(m[0]):])
+			if f == nil {
+				continue
 			}
+			num = f[1]
+		}
+		if v, err := strconv.ParseFloat(num, 64); err == nil {
+			out[m[1]] = append(out[m[1]], v)
 		}
 	}
-	return ns, allocs
+	return out
 }
 
 // allocSlack is how far a median allocs/op may exceed its baseline.
@@ -140,16 +156,17 @@ func main() {
 		os.Exit(2)
 	}
 
-	load := func(path string) (ns, allocs map[string][]float64) {
+	load := func(path string) (ns, allocs, events map[string][]float64) {
 		lines, err := readBenchLines(path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
 			os.Exit(2)
 		}
-		return parseAll(lines)
+		ns, allocs = parseAll(lines)
+		return ns, allocs, parseField(lines, eventsField)
 	}
-	oldB, oldA := load(*oldPath)
-	newB, newA := load(*newPath)
+	oldB, oldA, oldE := load(*oldPath)
+	newB, newA, newE := load(*newPath)
 
 	failed := false
 	if !guard(os.Stdout, oldB, newB, *tolerance, re, *oldPath) {
@@ -158,6 +175,10 @@ func main() {
 	}
 	if !guardAllocs(os.Stdout, oldA, newA, re) {
 		fmt.Fprintf(os.Stderr, "benchguard: allocs/op regression beyond %.0f%%\n", 100*allocSlack)
+		failed = true
+	}
+	if !guardEvents(os.Stdout, oldE, newE, re) {
+		fmt.Fprintln(os.Stderr, "benchguard: events/op changed")
 		failed = true
 	}
 	if failed {
@@ -169,22 +190,35 @@ func main() {
 // report it for, printing one sorted line per compared benchmark, and
 // reports whether every one stayed within allocSlack of its baseline.
 func guardAllocs(w io.Writer, oldA, newA map[string][]float64, re *regexp.Regexp) bool {
-	names := make([]string, 0, len(newA))
-	for name := range newA {
-		if _, ok := oldA[name]; ok && re.MatchString(name) {
+	return guardMetric(w, oldA, newA, re, "allocs/op", func(o, n float64) bool { return n > o*(1+allocSlack) })
+}
+
+// guardEvents compares median events/op like guardAllocs, but exactly:
+// any change in either direction fails.
+func guardEvents(w io.Writer, oldE, newE map[string][]float64, re *regexp.Regexp) bool {
+	return guardMetric(w, oldE, newE, re, "events/op", func(o, n float64) bool { return n != o })
+}
+
+// guardMetric compares the median of one per-op metric over the matched
+// benchmarks both snapshots report it for, printing one sorted line per
+// benchmark, and reports whether none of them fails.
+func guardMetric(w io.Writer, oldM, newM map[string][]float64, re *regexp.Regexp, unit string, fails func(o, n float64) bool) bool {
+	names := make([]string, 0, len(newM))
+	for name := range newM {
+		if _, ok := oldM[name]; ok && re.MatchString(name) {
 			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
 	ok := true
 	for _, name := range names {
-		o, n := median(oldA[name]), median(newA[name])
+		o, n := median(oldM[name]), median(newM[name])
 		verdict := "ok  "
-		if n > o*(1+allocSlack) {
+		if fails(o, n) {
 			verdict = "FAIL"
 			ok = false
 		}
-		fmt.Fprintf(w, "%s %-45s old %12.0f allocs/op  new %12.0f allocs/op\n", verdict, name, o, n)
+		fmt.Fprintf(w, "%s %-45s old %12.0f %s  new %12.0f %s\n", verdict, name, o, unit, n, unit)
 	}
 	return ok
 }

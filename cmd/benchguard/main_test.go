@@ -141,3 +141,48 @@ func TestGuardAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestGuardEvents pins the exact events/op gate: parsed from the custom
+// metric a campaign bench reports, compared by median, failing on any
+// change up or down, while benchmarks without a baseline are not gated.
+func TestGuardEvents(t *testing.T) {
+	lines := []string{
+		"BenchmarkFigure2SyncOn-2 \t 1 \t 1.1e+09 ns/op \t 1.747 IF \t 1.02e+06 events/op \t 6.1e+07 B/op \t 75000 allocs/op",
+		"BenchmarkFigure2SyncOn-2 \t 1 \t 1.0e+09 ns/op \t 1.747 IF \t 1.02e+06 events/op \t 6.1e+07 B/op \t 75003 allocs/op",
+		"BenchmarkFleetScenario-2 \t 1 \t 9e+08 ns/op \t 512345 events \t 734567 events/op \t 1024 tenants",
+		"BenchmarkHeap-2 \t 1000 \t 52.0 ns/op \t 0 B/op \t 0 allocs/op",
+	}
+	events := parseField(lines, eventsField)
+	if v := events["BenchmarkFigure2SyncOn"]; len(v) != 2 || v[0] != 1.02e6 {
+		t.Fatalf("Figure2SyncOn events = %v, want [1.02e6 1.02e6]", v)
+	}
+	if v := events["BenchmarkFleetScenario"]; len(v) != 1 || v[0] != 734567 {
+		t.Fatalf("FleetScenario events = %v, want [734567] (not the plain events metric)", v)
+	}
+	if _, ok := events["BenchmarkHeap"]; ok {
+		t.Fatalf("bench without events/op parsed as %v", events["BenchmarkHeap"])
+	}
+
+	for _, c := range []struct {
+		name      string
+		fig, flee float64 // new medians
+		pass      bool
+	}{
+		{"unchanged", 1.02e6, 734567, true},
+		{"one more", 1.02e6 + 1, 734567, false},
+		{"one fewer", 1.02e6, 734566, false},
+	} {
+		newE := map[string][]float64{
+			"BenchmarkFigure2SyncOn": {c.fig},
+			"BenchmarkFleetScenario": {c.flee},
+			"BenchmarkNew":           {99}, // no baseline: not gated
+		}
+		var b strings.Builder
+		if got := guardEvents(&b, events, newE, any); got != c.pass {
+			t.Errorf("%s: guardEvents = %v, want %v:\n%s", c.name, got, c.pass, b.String())
+		}
+		if strings.Contains(b.String(), "BenchmarkNew") {
+			t.Errorf("%s: benchmark without an events baseline was gated:\n%s", c.name, b.String())
+		}
+	}
+}

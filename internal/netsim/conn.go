@@ -317,7 +317,7 @@ func (c *Conn) sendAck() {
 	if c.Dst.down {
 		return // admin-down link: no reverse path either
 	}
-	c.F.E.ScheduleCall(c.F.P.AckLatency, c, opAck, c.rcvNext, c.F.P.Rmem-c.Unread())
+	c.F.acks.AtCall(c.F.E.Now()+c.F.P.AckLatency, c, opAck, c.rcvNext, c.F.P.Rmem-c.Unread())
 }
 
 // handleAck runs at the sender when an ACK/window update arrives.
@@ -359,7 +359,7 @@ func (c *Conn) armRTO() {
 	c.rtoArmed = true
 	c.lastProg = c.F.E.Now()
 	deadline := c.F.E.Now() + c.rto
-	c.F.E.AtCall(deadline, c, opRTO, int64(deadline), 0)
+	c.F.rtos.AtCall(deadline, c, opRTO, int64(deadline), 0)
 }
 
 // checkRTO fires when the timer expires; if progress happened meanwhile the
@@ -378,7 +378,7 @@ func (c *Conn) checkRTO(deadline sim.Time) {
 		// Progress since arming: re-arm relative to it.
 		c.rtoArmed = true
 		nd := c.lastProg + c.rto
-		c.F.E.AtCall(nd, c, opRTO, int64(nd), 0)
+		c.F.rtos.AtCall(nd, c, opRTO, int64(nd), 0)
 		return
 	}
 	// Timeout: go-back-N from the cumulative ACK with multiplicative

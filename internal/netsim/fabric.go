@@ -87,6 +87,9 @@ type Host struct {
 	// Ingress serializes incoming segments (NIC RX); its queue is bounded
 	// by the fabric's PortBuf (drops happen before enqueue).
 	Ingress *sim.Line
+	// nic holds the two lines Egress and Ingress point to, so a host is
+	// one allocation.
+	nic [2]sim.Line
 
 	fabric *Fabric
 	portQ  int64 // bytes queued at/in the ingress line
@@ -135,6 +138,12 @@ type Fabric struct {
 
 	hosts []*Host
 	conns []*Conn
+
+	// acks and rtos carry every connection's ACKs and retransmission
+	// timers. ACKs trail their sends by the constant AckLatency and most
+	// timers are armed now+RTOBase, so both streams are nearly in time
+	// order and each costs the event heap about one key.
+	acks, rtos sim.Lane
 }
 
 // NewFabric creates a fabric on engine e.
@@ -142,19 +151,22 @@ func NewFabric(e *sim.Engine, p Params) *Fabric {
 	if p.MSS <= 0 {
 		panic("netsim: MSS must be positive")
 	}
-	return &Fabric{E: e, P: p}
+	return &Fabric{E: e, P: p, acks: e.NewLane(), rtos: e.NewLane()}
 }
 
 // NewHost adds a host whose NIC runs at bytesPerSec in each direction, with
 // perSeg fixed per-segment processing overhead (protocol/CPU cost).
 func (f *Fabric) NewHost(name string, bytesPerSec float64, perSeg sim.Time) *Host {
 	h := &Host{
-		ID:      len(f.hosts),
-		Name:    name,
-		Egress:  &sim.Line{E: f.E, Rate: bytesPerSec, PerOp: perSeg, Latency: f.P.SwitchLatency},
-		Ingress: &sim.Line{E: f.E, Rate: bytesPerSec, PerOp: perSeg},
-		fabric:  f,
+		ID:   len(f.hosts),
+		Name: name,
+		nic: [2]sim.Line{
+			{E: f.E, Rate: bytesPerSec, PerOp: perSeg, Latency: f.P.SwitchLatency},
+			{E: f.E, Rate: bytesPerSec, PerOp: perSeg},
+		},
+		fabric: f,
 	}
+	h.Egress, h.Ingress = &h.nic[0], &h.nic[1]
 	f.hosts = append(f.hosts, h)
 	return h
 }

@@ -60,7 +60,7 @@ func TestLineSendCallZeroAlloc(t *testing.T) {
 
 // TestSleepWakeZeroAlloc drives one proc through a full park/wake/sleep
 // cycle per iteration: Semaphore.Release dequeues it from the waiter ring,
-// the resume event rides the heap's *Proc arm, the proc sleeps once and
+// the resume event rides the procWake Target, the proc sleeps once and
 // parks again on Acquire. None of it may allocate.
 func TestSleepWakeZeroAlloc(t *testing.T) {
 	e := NewEngine()
@@ -149,5 +149,43 @@ func TestHeapChurnZeroAlloc(t *testing.T) {
 	}
 	if e.Pending() != 1024 {
 		t.Fatalf("pending = %d, want 1024", e.Pending())
+	}
+}
+
+// resender re-sends on its line at every delivery, so each line keeps a
+// fixed number of transfers in flight.
+type resender struct{ lines []*Line }
+
+func (r *resender) OnEvent(op uint32, a, b int64) {
+	r.lines[a].SendCall(1<<10, r, 0, a, 0)
+}
+
+// TestLineLaneZeroAlloc pins the lane path at a fixed in-flight depth of
+// 8 lines × 128 transfers: each delivery pops a lane head, promotes its
+// successor in place and links a new tail, all on reused slab slots.
+func TestLineLaneZeroAlloc(t *testing.T) {
+	const lines, depth = 8, 128
+	e := NewEngine()
+	r := &resender{}
+	for i := 0; i < lines; i++ {
+		r.lines = append(r.lines, &Line{E: e, Rate: 1e9, Latency: Time(i) * Microsecond})
+	}
+	for i := 0; i < lines; i++ {
+		for j := 0; j < depth; j++ {
+			r.lines[i].SendCall(1<<10, r, 0, int64(i), 0)
+		}
+	}
+	for i := 0; i < 4*lines*depth; i++ { // warm up
+		e.Step()
+	}
+	if avg := testing.AllocsPerRun(10000, func() { e.Step() }); avg != 0 {
+		t.Errorf("Line.SendCall at %d in flight allocates %.2f objects per delivery, want 0",
+			lines*depth, avg)
+	}
+	if e.Pending() != lines*depth {
+		t.Fatalf("pending = %d, want %d", e.Pending(), lines*depth)
+	}
+	if len(e.heap) != lines {
+		t.Fatalf("heap holds %d keys, want one per line (%d)", len(e.heap), lines)
 	}
 }

@@ -28,6 +28,14 @@ type Target interface {
 //     moved while the event is pending. Slots are recycled through a free
 //     list and zeroed when their event is popped, so a dispatched event
 //     keeps no closure, proc or target reachable.
+//
+// Most events belong to streams that are already in (at, seq) order: a
+// Line delivers in FIFO order, ACKs trail their sends by a constant, and
+// same-instant events are pushed in seq order by definition. Such a stream
+// is a lane (see Lane): its pending events are linked through the slab in
+// order, and only the lane's head has a key in the heap. Popping a head
+// replaces the heap root with the lane's next event and sifts down once,
+// where a plain event costs a pop now and a full sift-up at its push.
 type key struct {
 	at   Time
 	seq  uint64
@@ -37,20 +45,66 @@ type key struct {
 // payload is an event's callback, a tagged union discriminated by which
 // pointer is set:
 //
-//	p   != nil — resume the parked process p (the Sleep/wake path)
-//	tgt != nil — call tgt.OnEvent(op, a, b) (the closure-free callback path)
+//	tgt != nil — call tgt.OnEvent(op, a, b) (the closure-free callback path;
+//	             a parked proc resumes through its procWake Target)
 //	otherwise  — call fn
 //
-// Every variant is inline — no interface boxing, no allocation on push or
-// pop. Procs and Targets are pointers to objects that already exist; only
-// the fn variant may carry a freshly allocated closure, and the hot paths
-// (proc wake-ups, transport segments, device completions) avoid it.
+// Both variants are inline — no allocation on push or pop. Targets are
+// pointers to objects that already exist; only the fn variant may carry a
+// freshly allocated closure, and the hot paths (proc wake-ups, transport
+// segments, device completions) avoid it.
+//
+// at and seq repeat the event's key, so a lane can check its tail and
+// promote its next event without a heap lookup; next is the slot+1 of the
+// following event in the same lane (0: none). The whole payload is 64
+// bytes, one cache line.
 type payload struct {
 	a, b int64
 	fn   func()
-	p    *Proc
 	tgt  Target
 	op   uint32
+	next uint32
+	at   Time
+	seq  uint64
+}
+
+// laneTail locates the last event pushed to a lane: its slot and seq. The
+// lane is empty when that slot no longer holds that seq — popped slots are
+// zeroed and reused slots get a fresh seq — so popping never has to find
+// the lane an event came from. The zero value is an empty lane.
+type laneTail struct {
+	slot uint32
+	seq  uint64
+}
+
+// A Lane is a FIFO stream of events on one engine whose (at, seq) never
+// decreases, such as a constant-delay reply path. Only the lane's head
+// waits in the event heap; the rest queue behind it in order. Events run
+// in exactly the same (at, seq) order as if each were scheduled with
+// Engine.AtCall: a push due earlier than the lane's tail simply falls back
+// to a plain heap key. Every Line has a lane of its own. The zero value is
+// not usable; create lanes with Engine.NewLane.
+type Lane struct {
+	e  *Engine
+	id uint32
+}
+
+// NewLane returns an empty lane on e.
+func (e *Engine) NewLane() Lane { return Lane{e, e.newLane()} }
+
+// newLane allocates a lane id.
+func (e *Engine) newLane() uint32 {
+	e.lanes = append(e.lanes, laneTail{})
+	return uint32(len(e.lanes) - 1)
+}
+
+// AtCall runs tgt.OnEvent(op, a, b) at absolute time t, which must not be
+// in the past, queued behind the lane's earlier events.
+func (l Lane) AtCall(t Time, tgt Target, op uint32, a, b int64) {
+	if t < l.e.now {
+		panic(fmt.Sprintf("sim: scheduling into the past: at %v, now %v", t, l.e.now))
+	}
+	l.e.pushLane(l.id, t, payload{tgt: tgt, op: op, a: a, b: b})
 }
 
 // Engine is a discrete-event simulation executor. The zero value is not
@@ -65,6 +119,8 @@ type Engine struct {
 	slab    []payload // event payloads, indexed by key.slot
 	free    []uint32  // slab slots not holding a pending event
 	seq     uint64
+	lanes   []laneTail    // tails by lane id; lane 0 takes events due now
+	linked  int           // pending lane events queued behind their lane's head
 	yield   chan struct{} // procs hand control back to the loop on this
 	current *Proc         // proc currently holding control, if any
 
@@ -76,7 +132,7 @@ type Engine struct {
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	return &Engine{yield: make(chan struct{})}
+	return &Engine{yield: make(chan struct{}), lanes: make([]laneTail, 1)}
 }
 
 // Now returns the current simulated time.
@@ -87,7 +143,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return len(e.heap) + e.linked }
 
 // Parked returns the number of processes currently blocked. A simulation
 // that drains its event queue while processes remain parked has deadlocked;
@@ -112,8 +168,40 @@ func less(x, y key) bool {
 	return x.at < y.at || (x.at == y.at && x.seq < y.seq)
 }
 
-// push stores ev in a free slab slot and inserts its key.
+// push schedules ev at time at. An event due now joins the engine's
+// current-instant lane; any other becomes a plain heap key.
 func (e *Engine) push(at Time, ev payload) {
+	if at == e.now {
+		e.pushLane(0, at, ev)
+		return
+	}
+	e.siftUp(e.store(at, ev))
+}
+
+// pushLane schedules ev at time at on the given lane: behind the lane's
+// tail when at is not earlier, as the lane's head when the lane is empty,
+// and as a plain heap key otherwise.
+func (e *Engine) pushLane(lane uint32, at Time, ev payload) {
+	k := e.store(at, ev)
+	t := &e.lanes[lane]
+	if last := &e.slab[t.slot]; t.seq != 0 && last.seq == t.seq {
+		if at < last.at {
+			e.siftUp(k) // out of order: the lane keeps its tail
+			return
+		}
+		last.next = k.slot + 1
+		*t = laneTail{k.slot, k.seq}
+		e.linked++
+		return
+	}
+	*t = laneTail{k.slot, k.seq}
+	e.siftUp(k)
+}
+
+// store puts ev in a free slab slot under the next seq and returns its key.
+func (e *Engine) store(at Time, ev payload) key {
+	e.seq++
+	ev.at, ev.seq = at, e.seq
 	var slot uint32
 	if n := len(e.free); n > 0 {
 		slot = e.free[n-1]
@@ -123,10 +211,13 @@ func (e *Engine) push(at Time, ev payload) {
 		slot = uint32(len(e.slab))
 		e.slab = append(e.slab, ev)
 	}
-	e.seq++
-	k := key{at: at, seq: e.seq, slot: slot}
+	return key{at: at, seq: e.seq, slot: slot}
+}
+
+// siftUp inserts k into the heap.
+func (e *Engine) siftUp(k key) {
 	h := append(e.heap, k)
-	// Sift up: move parents down into the hole until k fits.
+	// Move parents down into the hole until k fits.
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -140,18 +231,26 @@ func (e *Engine) push(at Time, ev payload) {
 	e.heap = h
 }
 
-// popMin removes the earliest event, frees and zeroes its slot, and returns
-// its due time and payload. The queue must not be empty.
-func (e *Engine) popMin() (Time, payload) {
+// popMin removes the earliest event from the queue and returns its slot,
+// which the caller frees. The queue must not be empty. When the event
+// heads a lane, the lane's next event takes over its heap root.
+func (e *Engine) popMin() uint32 {
 	h := e.heap
-	min := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h = h[:n]
-	e.heap = h
+	min := h[0].slot
+	var last key
+	if next := e.slab[min].next; next != 0 {
+		nx := &e.slab[next-1]
+		last = key{at: nx.at, seq: nx.seq, slot: next - 1}
+		e.linked--
+	} else {
+		n := len(h) - 1
+		last = h[n]
+		h = h[:n]
+		e.heap = h
+	}
+	// Sift down: move the smaller child up into the hole until last fits.
+	n := len(h)
 	if n > 0 {
-		// Sift down: move the smaller child up into the hole until the
-		// former last key fits.
 		i := 0
 		for {
 			c := 2*i + 1
@@ -169,10 +268,7 @@ func (e *Engine) popMin() (Time, payload) {
 		}
 		h[i] = last
 	}
-	ev := e.slab[min.slot]
-	e.slab[min.slot] = payload{}
-	e.free = append(e.free, min.slot)
-	return min.at, ev
+	return min
 }
 
 // ---- scheduling ----------------------------------------------------------
@@ -217,19 +313,7 @@ func (e *Engine) scheduleProc(d Time, p *Proc) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	e.push(e.now+d, payload{p: p})
-}
-
-// dispatch executes one popped event according to its union tag.
-func (e *Engine) dispatch(ev payload) {
-	switch {
-	case ev.p != nil:
-		e.handoff(ev.p)
-	case ev.tgt != nil:
-		ev.tgt.OnEvent(ev.op, ev.a, ev.b)
-	default:
-		ev.fn()
-	}
+	e.push(e.now+d, payload{tgt: (*procWake)(p)})
 }
 
 // ---- execution -----------------------------------------------------------
@@ -258,12 +342,23 @@ func (e *Engine) Step() bool {
 }
 
 // step pops and executes the earliest event. The queue must not be empty.
+// The slot is zeroed and freed before the callback runs, so the callback
+// may reuse it and the queue keeps nothing reachable.
 func (e *Engine) step() {
-	at, ev := e.popMin()
-	if at < e.now {
+	slot := e.popMin()
+	ev := &e.slab[slot]
+	if ev.at < e.now {
 		panic("sim: time went backwards")
 	}
-	e.now = at
+	e.now = ev.at
 	e.executed++
-	e.dispatch(ev)
+	fn, tgt, op, a, b := ev.fn, ev.tgt, ev.op, ev.a, ev.b
+	*ev = payload{}
+	e.free = append(e.free, slot)
+	// Dispatch on the union tag.
+	if tgt != nil {
+		tgt.OnEvent(op, a, b)
+	} else {
+		fn()
+	}
 }

@@ -238,19 +238,32 @@ func TestPropertyTiesFIFOUnderChurn(t *testing.T) {
 }
 
 // TestPoppedSlotsReleaseCallbacks pins that the slab keeps no closure,
-// proc or target reachable once its event has run.
+// proc or target reachable once its event has run — including events that
+// waited behind a lane head — and that no lane link outlives its event.
 func TestPoppedSlotsReleaseCallbacks(t *testing.T) {
 	e := NewEngine()
 	tgt := &countTarget{}
+	l := NewLine(e, 1e9)
+	lane := e.NewLane()
 	for i := 0; i < 8; i++ {
 		e.Schedule(Time(i), func() {})
 		e.ScheduleCall(Time(i), tgt, 0, 1, 0)
+		l.Send(1<<10, func() {})
+		l.SendCall(1<<10, tgt, 0, 1, 0)
+		lane.AtCall(Time(i), tgt, 0, 1, 0)
+	}
+	if e.linked == 0 {
+		t.Fatal("no event queued behind a lane head")
 	}
 	e.Spawn("p", func(p *Proc) { p.Sleep(3) })
 	e.Run()
 	for i, ev := range e.slab {
-		if ev.fn != nil || ev.p != nil || ev.tgt != nil {
+		if ev.fn != nil || ev.tgt != nil {
 			t.Fatalf("slot %d still references a callback after its event ran", i)
+		}
+		if ev.next != 0 || ev.at != 0 || ev.seq != 0 {
+			t.Fatalf("slot %d keeps lane state after its event ran: next=%d at=%v seq=%d",
+				i, ev.next, ev.at, ev.seq)
 		}
 	}
 }

@@ -4,7 +4,8 @@ package sim
 // a disk channel. Transfers are served strictly in submission order; each
 // occupies the line for PerOp + size/Rate and is delivered Latency after it
 // leaves the line. The line keeps cumulative busy time so callers can report
-// utilization.
+// utilization. Deliveries ride the line's own lane (see Lane), so they cost
+// the event heap one key per line, not one per transfer in flight.
 //
 // Line is the building block for network hops in internal/netsim and is also
 // used for memory-copy paths.
@@ -24,9 +25,10 @@ type Line struct {
 	Latency Time
 
 	busyUntil Time
-	busy      Time  // cumulative occupied time
-	bytes     int64 // cumulative bytes accepted
-	ops       int64 // cumulative transfers
+	busy      Time   // cumulative occupied time
+	bytes     int64  // cumulative bytes accepted
+	ops       int64  // cumulative transfers
+	lane      uint32 // lane id on E, taken at the first send (0: none yet)
 }
 
 // NewLine returns a line on engine e with the given rate in bytes/second.
@@ -54,7 +56,7 @@ func (l *Line) reserve(n int64) Time {
 func (l *Line) Send(n int64, fn func()) Time {
 	at := l.reserve(n)
 	if fn != nil {
-		l.E.At(at, fn)
+		l.E.pushLane(l.laneID(), at, payload{fn: fn})
 	}
 	return at
 }
@@ -64,8 +66,17 @@ func (l *Line) Send(n int64, fn func()) Time {
 // transport) use this to avoid allocating a closure per transfer.
 func (l *Line) SendCall(n int64, tgt Target, op uint32, a, b int64) Time {
 	at := l.reserve(n)
-	l.E.AtCall(at, tgt, op, a, b)
+	l.E.pushLane(l.laneID(), at, payload{tgt: tgt, op: op, a: a, b: b})
 	return at
+}
+
+// laneID returns the line's lane, allocating it on first use so that
+// zero-value Line literals work.
+func (l *Line) laneID() uint32 {
+	if l.lane == 0 {
+		l.lane = l.E.newLane()
+	}
+	return l.lane
 }
 
 // Busy returns cumulative time the line has been occupied.

@@ -53,6 +53,15 @@ func (e *Engine) handoff(p *Proc) {
 	e.current = prev
 }
 
+// procWake is the Target that resumes a parked proc: a *Proc converts to
+// it for free, so a wake-up event carries no closure.
+type procWake Proc
+
+func (w *procWake) OnEvent(uint32, int64, int64) {
+	p := (*Proc)(w)
+	p.eng.handoff(p)
+}
+
 // park suspends the calling proc until the next handoff to it.
 func (p *Proc) park() {
 	p.eng.parked++
@@ -63,7 +72,7 @@ func (p *Proc) park() {
 
 // wake schedules a handoff to p at the current time (FIFO among equal-time
 // events). It is the only way parked procs resume. The handoff rides the
-// event's *Proc union arm, so waking allocates nothing.
+// event's Target arm through procWake, so waking allocates nothing.
 func (p *Proc) wake() {
 	p.eng.scheduleProc(0, p)
 }

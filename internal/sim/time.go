@@ -15,11 +15,20 @@
 // The kernel is engineered for a zero-allocation steady state. Events are
 // pointer-free (time, sequence, slot) keys in a hand-specialized min-heap
 // whose callbacks live in a reusable per-engine slab, and the hot scheduling
-// paths avoid per-event closures: parked processes resume through the
-// event's *Proc arm, and layers whose callback is a fixed method on a
-// long-lived object implement Target and use ScheduleCall/AtCall (or
-// Line.SendCall), which carry the callback's arguments in the event
-// itself.
+// paths avoid per-event closures: parked processes resume through a Target
+// the *Proc converts to for free, and layers whose callback is a fixed
+// method on a long-lived object implement Target and use
+// ScheduleCall/AtCall (or Line.SendCall), which carry the callback's
+// arguments in the event itself.
+//
+// Most events come from streams that are already in time order, and those
+// ride lanes: a Lane is a FIFO of pending events linked through the slab,
+// and only its head holds a heap key. The engine routes every event due at
+// the current instant through a built-in lane, every Line delivers on a
+// lane of its own, and Engine.NewLane serves other monotone streams (the
+// network fabric's ACKs and retransmission timers). An event due earlier
+// than its lane's tail falls back to a plain heap key, so events always run
+// in exactly (time, sequence) order whichever way they were queued.
 package sim
 
 import (
