@@ -3,11 +3,11 @@
 GO      ?= go
 # BENCH_OUT is the perf snapshot consumed by CI artifacts and by future
 # perf PRs; the _N suffix tracks the PR number that produced it.
-BENCH_OUT ?= BENCH_14.json
+BENCH_OUT ?= BENCH_15.json
 # BENCH_PREV is the previous PR's committed snapshot; bench-check fails when
 # a serial-path benchmark regressed beyond the benchguard tolerance, its
 # allocs/op rose by more than 1%, or its events/op changed at all.
-BENCH_PREV ?= BENCH_13.json
+BENCH_PREV ?= BENCH_14.json
 
 .PHONY: test race bench bench-check fuzz-short scenarios mitigate trace faults fleet serve obs
 

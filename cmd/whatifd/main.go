@@ -201,7 +201,7 @@ func validateFlags(addr string, cacheMB, queueLen, workers, jobs, maxBodyMB int,
 }
 
 // usageErr reports a bad invocation and exits 2, matching the
-// incastprobe/iobench convention.
+// incastprobe convention.
 func usageErr(msg string) {
 	fmt.Fprintln(os.Stderr, "whatifd:", msg)
 	flag.Usage()

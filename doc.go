@@ -22,10 +22,11 @@
 // offset, bytes, queue depth, latency — through an opt-in zero-allocation
 // hook on the file-system client path, summarizes traces Darshan-style,
 // and replays them bit-identically (or counterfactually under QoS) as a
-// first-class workload source; workload programs (workload.Program)
-// extend one-shot bursts into multi-phase temporal workloads — periodic
-// barrier-synchronized checkpoints, Poisson-jittered bursty tenants —
-// that make such traces worth recording. The replayer and the
+// first-class workload source; every application runs a workload
+// program (workload.Program), from the paper's one-shot burst to
+// multi-phase temporal workloads — periodic barrier-synchronized
+// checkpoints, Poisson-jittered bursty tenants — that make such traces
+// worth recording. The replayer and the
 // mitigation sweeps are also servable: internal/whatif and cmd/whatifd
 // expose them as a long-running what-if daemon (stdlib HTTP/JSON) with
 // a content-addressed baseline cache, a bounded session queue with
@@ -48,7 +49,7 @@
 // δ-graph campaigns are embarrassingly parallel — every alone baseline,
 // δ point and figure series is an independent simulation on its own
 // platform — and run on a bounded worker pool (core.Runner, paper.Pool,
-// the -j flag of cmd/paperrepro and cmd/deltagraph). Each individual
+// the -j flag of cmd/paperrepro). Each individual
 // simulation is single-threaded and deterministic, so results are
 // byte-identical at any parallelism level.
 //

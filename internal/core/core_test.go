@@ -212,7 +212,7 @@ func TestUnfairnessMetric(t *testing.T) {
 
 func TestAppSpecValidate(t *testing.T) {
 	cfg := tinyConfig(cluster.RAM, pfs.SyncOn)
-	good := AppSpec{Name: "A", Procs: 4, FirstNode: 0, ProcsPerNode: 2, Workload: tinyWorkload()}
+	good := AppSpec{Name: "A", Procs: 4, FirstNode: 0, ProcsPerNode: 2, Program: workload.Single(tinyWorkload())}
 	if err := good.Validate(cfg); err != nil {
 		t.Fatalf("good spec rejected: %v", err)
 	}

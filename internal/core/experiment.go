@@ -46,13 +46,11 @@ type AppSpec struct {
 	// occupy disjoint 30-node sets with 16 processes per node.
 	FirstNode    int
 	ProcsPerNode int
-	// Workload is the I/O phase each process performs.
-	Workload workload.Spec
-	// Program, when non-nil, replaces Workload with a multi-phase workload
-	// program (compute think time, barriers, repeated bursts — see
-	// workload.Program). The single-burst Workload path is untouched when
-	// Program is nil, so legacy experiments stay bit-identical.
-	Program *workload.Program
+	// Program is the work each process performs (required — Validate
+	// rejects one without phases): one I/O burst (workload.Single) or a
+	// multi-phase program of compute think time, barriers and repeated
+	// bursts — see workload.Program.
+	Program workload.Program
 	// TargetServers stripes the application's file over a subset of
 	// servers (nil = all servers) — the paper's "targeted servers" knob.
 	TargetServers []int
@@ -75,20 +73,12 @@ func (a AppSpec) Validate(cfg cluster.Config) error {
 		return fmt.Errorf("core: app %q spans nodes %d..%d beyond the %d-node platform",
 			a.Name, a.FirstNode, lastNode, cfg.ComputeNodes)
 	}
-	if a.Program != nil {
-		return a.Program.Validate()
-	}
-	return a.Workload.Validate()
+	return a.Program.Validate()
 }
 
 // TotalBytes returns the bytes the application moves over its whole phase
-// (all processes; for programs, all iterations).
-func (a AppSpec) TotalBytes() int64 {
-	if a.Program != nil {
-		return a.Program.TotalBytes(a.Procs)
-	}
-	return a.Workload.TotalBytes(a.Procs)
-}
+// (all processes, all iterations).
+func (a AppSpec) TotalBytes() int64 { return a.Program.TotalBytes(a.Procs) }
 
 // App is an instantiated application within an experiment.
 type App struct {
@@ -97,7 +87,7 @@ type App struct {
 	Clients []*pfs.Client
 	Timer   *mpisim.PhaseTimer
 	// Barrier is the application-wide rendezvous of program barrier phases
-	// (nil for single-burst apps).
+	// (nil for programs without one).
 	Barrier *mpisim.Barrier
 }
 
@@ -127,7 +117,7 @@ func Prepare(cfg cluster.Config, specs []AppSpec) *Experiment {
 			File:  pl.FS.CreateFile(spec.Name, spec.TargetServers, stripe),
 			Timer: mpisim.NewPhaseTimer(pl.E, spec.Procs),
 		}
-		if spec.Program != nil {
+		if spec.Program.Barriers() > 0 {
 			app.Barrier = mpisim.NewBarrier(spec.Procs)
 		}
 		for i := 0; i < spec.Procs; i++ {
@@ -176,11 +166,7 @@ func (x *Experiment) launch() {
 					p.Sleep(app.Spec.Start)
 				}
 				app.Timer.Enter(p)
-				if app.Spec.Program != nil {
-					runProgram(p, x.Platform.FS, cl, app, rank)
-				} else {
-					runBurst(p, cl, app, app.Spec.Workload, rank)
-				}
+				runProgram(p, x.Platform.FS, cl, app, rank)
 				app.Timer.Done()
 			})
 		}
@@ -188,28 +174,20 @@ func (x *Experiment) launch() {
 }
 
 // runBurst executes one I/O burst — the rank's request plan for wl — with
-// the spec's queue depth. It is the whole phase of a single-burst app and
-// one PhaseIO step of a program. On a platform with a fault plan the
-// client's retrying RPC path is used, and an ErrUnavailable (retries
-// exhausted against a crashed or partitioned server) stalls the process
-// for the policy's Resume pause before re-issuing the same request —
-// stall-and-resume, the way a real MPI job rides out a PFS failover.
+// the spec's queue depth: one PhaseIO step of a program. Requests ride out
+// outages inside the pfs client when the platform has a fault plan.
 func runBurst(p *sim.Proc, cl *pfs.Client, app *App, wl workload.Spec, rank int) {
 	plan := wl.Plan(rank, app.Spec.Procs)
 	qd := wl.QD
 	think := sim.Time(wl.ThinkTime)
-	retrying := cl.Retrying()
 	if qd <= 1 {
 		for _, ext := range plan {
 			if think > 0 {
 				p.Sleep(think)
 			}
-			switch {
-			case retrying:
-				retryBlocking(p, cl, app.File, ext.Off, ext.Size, wl.Read)
-			case wl.Read:
+			if wl.Read {
 				cl.Read(p, app.File, ext.Off, ext.Size)
-			default:
+			} else {
 				cl.Write(p, app.File, ext.Off, ext.Size)
 			}
 		}
@@ -223,30 +201,6 @@ func runBurst(p *sim.Proc, cl *pfs.Client, app *App, wl workload.Spec, rank int)
 		if think > 0 {
 			p.Sleep(think)
 		}
-		if retrying {
-			// The pipelined twin of stall-and-resume: hold the queue-depth
-			// slot across the stall and re-issue until the request lands.
-			ext := ext
-			resume := cl.RetryPolicy().Resume
-			var issue func()
-			onErr := func(err error) {
-				if err == nil {
-					sem.Release()
-					gate.Done(e)
-					return
-				}
-				e.Schedule(resume, issue)
-			}
-			issue = func() {
-				if wl.Read {
-					cl.ReadAsyncRetry(app.File, ext.Off, ext.Size, onErr)
-				} else {
-					cl.WriteAsyncRetry(app.File, ext.Off, ext.Size, onErr)
-				}
-			}
-			issue()
-			continue
-		}
 		done := func() {
 			sem.Release()
 			gate.Done(e)
@@ -258,26 +212,6 @@ func runBurst(p *sim.Proc, cl *pfs.Client, app *App, wl workload.Spec, rank int)
 		}
 	}
 	gate.Wait(p)
-}
-
-// retryBlocking performs one blocking transfer on the retrying path,
-// stalling Resume and re-issuing on ErrUnavailable until it succeeds (the
-// fault plan's validation guarantees crashed servers restart, so this
-// terminates).
-func retryBlocking(p *sim.Proc, cl *pfs.Client, f *pfs.File, off, size int64, read bool) {
-	resume := cl.RetryPolicy().Resume
-	for {
-		var err error
-		if read {
-			err = cl.ReadRetry(p, f, off, size)
-		} else {
-			err = cl.WriteRetry(p, f, off, size)
-		}
-		if err == nil {
-			return
-		}
-		p.Sleep(resume)
-	}
 }
 
 // AppResult is the outcome of one application's I/O phase.
@@ -393,14 +327,16 @@ func (x *Experiment) collect() RunResult {
 }
 
 // TwoAppSpecs builds the paper's canonical pair of equal applications: each
-// with procs processes at ppn per node, application A on the first half of
-// the node range, B on the second half. It is AppSpecs(cfg, 2, ...).
+// with procs processes at ppn per node running the one-burst program of wl,
+// application A on the first half of the node range, B on the second half.
+// It is AppSpecs(cfg, 2, ...).
 func TwoAppSpecs(cfg cluster.Config, procs, ppn int, wl workload.Spec) []AppSpec {
 	return AppSpecs(cfg, 2, procs, ppn, wl)
 }
 
 // AppSpecs builds n equal applications of procs processes at ppn per node,
-// packed onto consecutive disjoint node ranges and named "A", "B", "C", …
+// each running its own copy of workload.Single(wl), packed onto consecutive
+// disjoint node ranges and named "A", "B", "C", …
 // (then "app26", "app27", … beyond the alphabet). It is the N-app analogue
 // of the paper's canonical A/B pair.
 func AppSpecs(cfg cluster.Config, n, procs, ppn int, wl workload.Spec) []AppSpec {
@@ -412,7 +348,7 @@ func AppSpecs(cfg cluster.Config, n, procs, ppn int, wl workload.Spec) []AppSpec
 			Procs:        procs,
 			FirstNode:    i * nodesPer,
 			ProcsPerNode: ppn,
-			Workload:     wl,
+			Program:      workload.Single(wl),
 		}
 	}
 	return out

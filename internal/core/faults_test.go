@@ -8,6 +8,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/pfs"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // testRetry is a fast-timescale policy so deadlines actually fire within
@@ -31,28 +32,61 @@ func faultCfg(events ...fault.Event) cluster.Config {
 
 // TestCrashRestartLiveness is the liveness contract: an application whose
 // server crashes mid-burst stalls, retries, and completes after the
-// restart — the simulation terminates and the work all lands.
+// restart — the simulation terminates and the work all lands. It covers the
+// pfs client's blocking and pipelined paths, with deadline retries alone
+// and with retries exhausted (ErrUnavailable, then a Resume stall and a
+// re-issue). Event and failure counts are pinned: no fault golden reaches
+// the pipelined or exhausted-retry paths.
 func TestCrashRestartLiveness(t *testing.T) {
-	cfg := faultCfg(
-		fault.Event{At: 10 * sim.Millisecond, Kind: fault.ServerCrash, Server: 0},
-		fault.Event{At: 150 * sim.Millisecond, Kind: fault.ServerRestart, Server: 0},
-	)
-	apps := TwoAppSpecs(cfg, 8, 4, tinyWorkload())
-	res := Prepare(cfg, apps).Run() // collect panics on deadlock
-	av := res.Diag.Avail
-	if av.Crashes != 1 {
-		t.Fatalf("crashes = %d, want 1", av.Crashes)
+	strided := func(qd int) workload.Spec {
+		return workload.Spec{Pattern: workload.Strided, BlockBytes: 4 << 20, TransferSize: 256 << 10, QD: qd}
 	}
-	if av.Downtime < 100*sim.Millisecond {
-		t.Fatalf("downtime = %v, want >= 100ms", av.Downtime)
+	cases := []struct {
+		name       string
+		wl         workload.Spec
+		restart    sim.Time
+		maxRetries int
+		start      sim.Time // app B's start
+		events     uint64
+		failures   int64
+	}{
+		{"blocking", tinyWorkload(), 150 * sim.Millisecond, 40, 0, 11008, 0},
+		{"blocking-exhausted", strided(1), 400 * sim.Millisecond, 1, 5 * sim.Millisecond, 11852, 48},
+		{"pipelined", strided(4), 400 * sim.Millisecond, 40, 5 * sim.Millisecond, 12193, 0},
+		{"pipelined-exhausted", strided(4), 400 * sim.Millisecond, 1, 5 * sim.Millisecond, 19507, 222},
 	}
-	if av.RPCTimeouts == 0 || av.Retries == 0 {
-		t.Fatalf("timeouts = %d retries = %d, want both > 0", av.RPCTimeouts, av.Retries)
-	}
-	for _, a := range res.Apps {
-		if a.End < 150*sim.Millisecond {
-			t.Fatalf("app %s finished at %v, before the restart", a.Name, a.End)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := faultCfg(
+				fault.Event{At: 10 * sim.Millisecond, Kind: fault.ServerCrash, Server: 0},
+				fault.Event{At: tc.restart, Kind: fault.ServerRestart, Server: 0},
+			)
+			cfg.Faults.Retry.MaxRetries = tc.maxRetries
+			apps := TwoAppSpecs(cfg, 8, 4, tc.wl)
+			apps[1].Start = tc.start
+			res := Prepare(cfg, apps).Run() // collect panics on deadlock
+			av := res.Diag.Avail
+			if av.Crashes != 1 {
+				t.Fatalf("crashes = %d, want 1", av.Crashes)
+			}
+			if av.Downtime < 100*sim.Millisecond {
+				t.Fatalf("downtime = %v, want >= 100ms", av.Downtime)
+			}
+			if av.RPCTimeouts == 0 || av.Retries == 0 {
+				t.Fatalf("timeouts = %d retries = %d, want both > 0", av.RPCTimeouts, av.Retries)
+			}
+			for _, a := range res.Apps {
+				if a.End < tc.restart {
+					t.Fatalf("app %s finished at %v, before the restart", a.Name, a.End)
+				}
+			}
+			if res.Diag.Events != tc.events {
+				t.Errorf("events = %d, want %d", res.Diag.Events, tc.events)
+			}
+			if av.Failures != tc.failures {
+				t.Errorf("failures = %d, want %d", av.Failures, tc.failures)
+			}
+		})
 	}
 }
 

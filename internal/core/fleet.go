@@ -149,14 +149,9 @@ func (r Runner) RunFleet(spec DeltaSpec, opts FleetOpts) *FleetResult {
 // placement, start time and the program's jitter seed are excluded, every
 // knob that changes an alone run's workload is included.
 func shapeKey(a AppSpec) string {
-	prog := "-"
-	if a.Program != nil {
-		p := *a.Program
-		p.Seed = 0
-		prog = fmt.Sprintf("%+v", p)
-	}
-	return fmt.Sprintf("p%d/%d|%+v|%v|%d|%s",
-		a.Procs, a.ProcsPerNode, a.Workload, a.TargetServers, a.Stripe, prog)
+	p := a.Program
+	p.Seed = 0
+	return fmt.Sprintf("p%d/%d|%v|%d|%+v", a.Procs, a.ProcsPerNode, a.TargetServers, a.Stripe, p)
 }
 
 // fleetPairs picks opts.SamplePairs distinct unordered pairs: even draws

@@ -37,7 +37,7 @@ func fleetSpecForTest() DeltaSpec {
 			Procs:        4,
 			FirstNode:    i * 2,
 			ProcsPerNode: 2,
-			Workload:     wl,
+			Program:      workload.Single(wl),
 		}
 		offsets[i] = sim.Time(i) * sim.Second / 2
 	}
@@ -51,7 +51,7 @@ func TestAloneIgnoresPlacement(t *testing.T) {
 	cfg := tinyConfig(cluster.HDD, pfs.SyncOn)
 	cfg.ComputeNodes = 64
 	for _, first := range []int{0, 17, 62} {
-		app := AppSpec{Name: "A", Procs: 4, FirstNode: first, ProcsPerNode: 2, Workload: tinyWorkload()}
+		app := AppSpec{Name: "A", Procs: 4, FirstNode: first, ProcsPerNode: 2, Program: workload.Single(tinyWorkload())}
 		res := Prepare(cfg, []AppSpec{app}).Run()
 		ref := app
 		ref.FirstNode = 0

@@ -149,7 +149,7 @@ func TestUnfairnessStaggeredRealRun(t *testing.T) {
 	wl := tinyWorkload()
 	wl.BlockBytes = 16 << 20
 	apps := AppSpecs(cfg, 3, 8, 4, wl)
-	apps[1].Workload.BlockBytes = 4 << 20 // heterogeneous: a smaller app
+	apps[1].Program.Phases[0].IO.BlockBytes = 4 << 20 // heterogeneous: a smaller app
 	g := RunDelta(DeltaSpec{
 		Cfg:          cfg,
 		Apps:         apps,

@@ -23,7 +23,7 @@ import (
 // to each record's absolute timestamp from the same wake-up points
 // reproduces this event structure exactly.
 func runProgram(p *sim.Proc, fs *pfs.FileSystem, cl *pfs.Client, app *App, rank int) {
-	prog := app.Spec.Program
+	prog := &app.Spec.Program
 	rng := sim.NewRand(prog.Seed)
 	e := cl.Host.Egress.E
 	for it := 0; it < prog.Iters(); it++ {

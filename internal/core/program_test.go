@@ -16,8 +16,8 @@ import (
 // jitter.
 func jitterPrograms(cfg cluster.Config) []AppSpec {
 	io := workload.Spec{BlockBytes: 1 << 20, TransferSize: 256 << 10}
-	mk := func(seed uint64) *workload.Program {
-		return &workload.Program{
+	mk := func(seed uint64) workload.Program {
+		return workload.Program{
 			Phases: []workload.Phase{
 				{Kind: workload.PhaseCompute, Compute: 2e6, JitterMean: 1e6},
 				{Kind: workload.PhaseBarrier},

@@ -83,26 +83,7 @@ func (r Runner) ForEach(n int, fn func(int)) {
 // point of spec concurrently on the pool. The result is identical to
 // core.RunDelta(spec); see the Runner type comment for why.
 func (r Runner) RunDelta(spec DeltaSpec) *DeltaGraph {
-	spec.validate()
-	n := len(spec.Apps)
-	g := &DeltaGraph{
-		Alone:  make([]sim.Time, n),
-		Points: make([]DeltaPoint, len(spec.Deltas)),
-	}
-	// Tasks 0..n-1 are the alone baselines; task n+i is δ point i. All
-	// n+len(Deltas) simulations are independent: IF values, the only
-	// cross-run quantity, are filled in afterwards.
-	r.ForEach(n+len(spec.Deltas), func(t int) {
-		if t < n {
-			g.Alone[t] = runAlone(spec, t)
-			return
-		}
-		g.Points[t-n] = runPoint(spec, spec.Deltas[t-n])
-	})
-	for i := range g.Points {
-		g.Points[i].applyAlone(g.Alone)
-	}
-	return g
+	return r.RunDeltas([]DeltaSpec{spec})[0]
 }
 
 // RunDeltas runs many independent δ-graph specs on one pool, flattening

@@ -255,8 +255,8 @@ func Fig6(div int, serverCounts []int, kind GridKind) ([]ScalePoint, []Series) {
 	out := runAll(specs)
 	var points []ScalePoint
 	for i, sr := range out {
-		cfg, wl := specs[i].Spec.Cfg, specs[i].Spec.Apps[0].Workload
-		bytes := wl.TotalBytes(ProcsPerApp(cfg))
+		cfg := specs[i].Spec.Cfg
+		bytes := specs[i].Spec.Apps[0].TotalBytes()
 		pt := ScalePoint{
 			Servers: cfg.Servers,
 			MaxBps:  sim.Rate(bytes, minTime(sr.Graph.Alone[0], sr.Graph.Alone[1])),

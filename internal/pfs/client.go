@@ -58,16 +58,43 @@ func (cl *Client) Conns() map[int]*netsim.Conn { return cl.conns }
 
 // WriteAsync issues a write of [off, off+size) on f and calls onDone when
 // every involved server has acknowledged. It is the building block for
-// pipelined request streams.
+// pipelined request streams. On a deployment with a retry policy the write
+// stalls and resumes through outages (see async); onDone fires once, when
+// it has landed.
 func (cl *Client) WriteAsync(f *File, off, size int64, onDone func()) {
-	cl.ioAsync(f, off, size, false, onDone)
+	cl.async(f, off, size, false, onDone)
 }
 
 // ReadAsync issues a read of [off, off+size) on f; onDone fires when all
 // data chunks have been returned. (Read workloads are the paper's stated
 // future work; the path mirrors writes with data on the reply direction.)
 func (cl *Client) ReadAsync(f *File, off, size int64, onDone func()) {
-	cl.ioAsync(f, off, size, true, onDone)
+	cl.async(f, off, size, true, onDone)
+}
+
+// async issues one request. Without a retry policy it is ioAsync. With one
+// (FileSystem.EnableRetry) the request runs on the retrying RPC path, and an
+// ErrUnavailable (retries exhausted against a crashed or partitioned
+// server) re-issues the same request after the policy's Resume pause until
+// it lands — stall-and-resume, the way a real MPI job rides out a PFS
+// failover. onDone fires only on success, so a pipelined caller holds its
+// queue-depth slot across the stall.
+func (cl *Client) async(f *File, off, size int64, read bool, onDone func()) {
+	rp := cl.fs.Retry
+	if rp == nil {
+		cl.ioAsync(f, off, size, read, onDone)
+		return
+	}
+	var issue func()
+	onErr := func(err error) {
+		if err == nil {
+			onDone()
+			return
+		}
+		cl.fs.E.Schedule(rp.Resume, issue)
+	}
+	issue = func() { cl.ioRetry(f, off, size, read, onErr) }
+	issue()
 }
 
 // Outstanding returns the client's in-flight request count (observed queue
@@ -126,14 +153,33 @@ const reqDescriptorBytes = 128
 
 // Write performs a blocking write from within a simulated process.
 func (cl *Client) Write(p *sim.Proc, f *File, off, size int64) {
-	var done sim.Signal
-	cl.WriteAsync(f, off, size, func() { done.Fire(cl.fs.E) })
-	p.Await(&done)
+	cl.block(p, f, off, size, false)
 }
 
 // Read performs a blocking read from within a simulated process.
 func (cl *Client) Read(p *sim.Proc, f *File, off, size int64) {
+	cl.block(p, f, off, size, true)
+}
+
+// block performs one blocking request. With a retry policy the process
+// sleeps out the policy's Resume pause after each ErrUnavailable and
+// re-issues the request on the retrying path until it succeeds (the fault
+// plan's validation guarantees crashed servers restart, so this
+// terminates).
+func (cl *Client) block(p *sim.Proc, f *File, off, size int64, read bool) {
+	if rp := cl.fs.Retry; rp != nil {
+		for {
+			var done sim.Signal
+			var err error
+			cl.ioRetry(f, off, size, read, func(e error) { err = e; done.Fire(cl.fs.E) })
+			p.Await(&done)
+			if err == nil {
+				return
+			}
+			p.Sleep(rp.Resume)
+		}
+	}
 	var done sim.Signal
-	cl.ReadAsync(f, off, size, func() { done.Fire(cl.fs.E) })
+	cl.ioAsync(f, off, size, read, func() { done.Fire(cl.fs.E) })
 	p.Await(&done)
 }

@@ -8,10 +8,10 @@ import (
 	"repro/internal/sim"
 )
 
-// ErrUnavailable is returned by the retrying RPC path when a request's
+// ErrUnavailable is what the retrying RPC path reports when a request's
 // retries against some server are exhausted (deadline expirations beyond
-// MaxRetries, or the application's retry budget ran dry). The caller is
-// expected to stall and re-issue — see fault.RetryPolicy.Resume.
+// MaxRetries, or the application's retry budget ran dry). The client then
+// stalls and re-issues — see fault.RetryPolicy.Resume and Client.async.
 var ErrUnavailable = errors.New("pfs: service unavailable")
 
 // ClientAvail are one application's client-side availability counters:
@@ -139,41 +139,3 @@ func (cl *Client) ioRetry(f *File, off, size int64, read bool, onErr func(error)
 		so.send()
 	}
 }
-
-// WriteAsyncRetry issues a write on the retrying RPC path; onErr fires once
-// with nil on success or ErrUnavailable when retries were exhausted.
-// Requires FileSystem.EnableRetry.
-func (cl *Client) WriteAsyncRetry(f *File, off, size int64, onErr func(error)) {
-	cl.ioRetry(f, off, size, false, onErr)
-}
-
-// ReadAsyncRetry is the read twin of WriteAsyncRetry.
-func (cl *Client) ReadAsyncRetry(f *File, off, size int64, onErr func(error)) {
-	cl.ioRetry(f, off, size, true, onErr)
-}
-
-// WriteRetry performs a blocking write on the retrying RPC path.
-func (cl *Client) WriteRetry(p *sim.Proc, f *File, off, size int64) error {
-	var done sim.Signal
-	var err error
-	cl.WriteAsyncRetry(f, off, size, func(e error) { err = e; done.Fire(cl.fs.E) })
-	p.Await(&done)
-	return err
-}
-
-// ReadRetry performs a blocking read on the retrying RPC path.
-func (cl *Client) ReadRetry(p *sim.Proc, f *File, off, size int64) error {
-	var done sim.Signal
-	var err error
-	cl.ReadAsyncRetry(f, off, size, func(e error) { err = e; done.Fire(cl.fs.E) })
-	p.Await(&done)
-	return err
-}
-
-// Retrying reports whether the deployment has a retry policy installed
-// (workload drivers switch to the retrying path when it does).
-func (cl *Client) Retrying() bool { return cl.fs.Retry != nil }
-
-// RetryPolicy returns the deployment's retry policy (nil when retry is
-// off).
-func (cl *Client) RetryPolicy() *fault.RetryPolicy { return cl.fs.Retry }

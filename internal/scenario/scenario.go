@@ -503,17 +503,23 @@ func (ph Phase) compile() workload.Phase {
 	return workload.Phase{Kind: workload.PhaseBarrier}
 }
 
-// program compiles an app's phase list into a workload.Program. The default
+// program compiles an app into a workload.Program: its phase list, or a
+// phase-less app's top-level knobs as a one-io-phase program. The default
 // seed is a distinct per-position splitmix64 increment multiple, so unseeded
 // co-running apps decorrelate and the choice is stable across runs (the seed
 // must not depend on which subset of apps a pairwise co-run selects).
-func (a App) program(i int) *workload.Program {
+func (a App) program(i int) workload.Program {
 	seed := a.Seed
 	if seed == 0 {
 		seed = uint64(i+1) * 0x9E3779B97F4A7C15
 	}
-	prog := &workload.Program{Iterations: a.Iterations, Seed: seed}
-	for _, ph := range a.Phases {
+	phases := a.Phases
+	if len(phases) == 0 {
+		phases = []Phase{{Kind: "io", Pattern: a.Pattern, BlockMB: a.BlockMB,
+			TransferKB: a.TransferKB, QD: a.QD, ThinkMS: a.ThinkMS, Read: a.Read}}
+	}
+	prog := workload.Program{Iterations: a.Iterations, Seed: seed}
+	for _, ph := range phases {
 		prog.Phases = append(prog.Phases, ph.compile())
 	}
 	return prog
@@ -587,7 +593,12 @@ func (s Spec) Build(backend cluster.BackendKind) (cluster.Config, core.DeltaSpec
 		cfg.Faults = s.Faults.plan()
 	}
 
-	spec := core.DeltaSpec{Cfg: cfg}
+	// Sized up front: what-if cache hits run Build for their cache key.
+	spec := core.DeltaSpec{
+		Cfg:          cfg,
+		Apps:         make([]core.AppSpec, 0, len(s.Apps)),
+		StartOffsets: make([]sim.Time, 0, len(s.Apps)),
+	}
 	node := 0
 	for i, a := range s.Apps {
 		ppn := a.PPN
@@ -601,19 +612,7 @@ func (s Spec) Build(backend cluster.BackendKind) (cluster.Config, core.DeltaSpec
 			ProcsPerNode:  ppn,
 			TargetServers: a.TargetServers,
 			Stripe:        a.StripeKB << 10,
-		}
-		if len(a.Phases) > 0 {
-			app.Program = a.program(i)
-		} else {
-			pat, _ := parsePattern(a.Pattern) // validated above
-			app.Workload = workload.Spec{
-				Pattern:      pat,
-				BlockBytes:   a.BlockMB << 20,
-				TransferSize: a.TransferKB << 10,
-				QD:           a.QD,
-				ThinkTime:    int64(a.ThinkMS * float64(sim.Millisecond)),
-				Read:         a.Read,
-			}
+			Program:       a.program(i),
 		}
 		node += (a.Procs + ppn - 1) / ppn
 		spec.Apps = append(spec.Apps, app)

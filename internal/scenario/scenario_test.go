@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -242,6 +244,45 @@ func TestParseRoundTrip(t *testing.T) {
 	// Apps are packed onto disjoint node ranges.
 	if ds.Apps[0].FirstNode == ds.Apps[1].FirstNode {
 		t.Fatal("apps share a node range")
+	}
+}
+
+// TestSingleBurstSpellingsAreOneProgram: an app's top-level single-burst
+// knobs and the same knobs written as one explicit "io" phase are two
+// spellings of one program. Both compile to equal core.AppSpecs and run to
+// byte-identical results.
+func TestSingleBurstSpellingsAreOneProgram(t *testing.T) {
+	const knobs = `{"procs":4,"ppn":2,"pattern":"strided","block_mb":2,"transfer_kb":256,"qd":3,"think_ms":0.5,"read":true},
+		{"procs":2,"ppn":2,"block_mb":3}`
+	const phased = `{"procs":4,"ppn":2,"phases":[{"kind":"io","pattern":"strided","block_mb":2,"transfer_kb":256,"qd":3,"think_ms":0.5,"read":true}]},
+		{"procs":2,"ppn":2,"phases":[{"kind":"io","block_mb":3}]}`
+	build := func(apps string) (cluster.Config, []core.AppSpec) {
+		t.Helper()
+		s, err := Parse([]byte(`{"name":"spelling","servers":2,"apps":[` + apps + `]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, spec, err := s.Build(cluster.HDD)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg, spec.AppsAt(0)
+	}
+	cfgA, a := build(knobs)
+	cfgB, b := build(phased)
+	if !reflect.DeepEqual(cfgA, cfgB) || !reflect.DeepEqual(a, b) {
+		t.Fatalf("app specs differ:\n knobs  %+v\n phases %+v", a, b)
+	}
+	ra, err := json.Marshal(core.Prepare(cfgA, a).Run())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := json.Marshal(core.Prepare(cfgB, b).Run())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(ra) != string(rb) {
+		t.Fatalf("run results differ:\n knobs  %s\n phases %s", ra, rb)
 	}
 }
 

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -44,6 +45,27 @@ func TestRecordReplayBuiltins(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestReplayRefusesFaultedTrace: a trace recorded under a fault plan holds
+// one record per failed attempt, so a replay would issue each of them as a
+// request of its own. Replay refuses it up front, naming the fault plan.
+func TestReplayRefusesFaultedTrace(t *testing.T) {
+	s, err := Lookup("server-crash-checkpoint")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, _, err := Record(s.Smoke(), cluster.HDD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Records) == 0 {
+		t.Fatal("recorded no records")
+	}
+	rep, err := trace.Replay(tr)
+	if err == nil || !strings.Contains(err.Error(), "fault plan") {
+		t.Fatalf("Replay of a faulted trace = %v, %v; want an error naming the fault plan", rep, err)
 	}
 }
 

@@ -39,7 +39,7 @@ func (r *ReplayResult) Identical() bool {
 
 // Replay re-executes the trace on the platform recorded in its header. Per
 // the package's determinism contract the result is bit-identical to the
-// recorded run for blocking and single-burst-pipelined applications.
+// recorded run for blocking applications and pipelined one-burst programs.
 func Replay(t *Trace) (*ReplayResult, error) {
 	return ReplayOn(t, t.Header.Cfg)
 }
@@ -66,9 +66,17 @@ type replayApp struct {
 // and the jitter stream), and the per-rank drivers mirror core's launch
 // bodies, so an unmodified-platform replay reproduces the recorded event
 // structure exactly.
+//
+// A trace recorded on a platform with a fault plan is refused before any
+// platform is built: the recording holds one record per failed attempt of
+// a request, and a replay would issue each of them as a request of its own.
 func ReplayOn(t *Trace, cfg cluster.Config) (*ReplayResult, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
+	}
+	if fp := t.Header.Cfg.Faults; fp != nil {
+		return nil, fmt.Errorf("trace: recorded under a fault plan (%d fault events); "+
+			"its records include every failed attempt, so it cannot be replayed", len(fp.Events))
 	}
 	pl := cluster.Build(cfg)
 	rec := NewRecorder(pl.E)

@@ -15,14 +15,15 @@
 // then, per rank, sleeping from each wake-up point to the next record's
 // absolute timestamp before reissuing it. Because the recorded run only
 // ever schedules one pause between consecutive operations of a rank (the
-// discipline core.runProgram and core.runBurst keep), the replayed sleep is
-// scheduled at the same instant, with the same delay, from the same event
-// as the original pause, and every downstream decision — issue-jitter
-// draws, server queue order, TCP dynamics — replays identically.
+// discipline core.runProgram and its io-phase step core.runBurst keep), the
+// replayed sleep is scheduled at the same instant, with the same delay,
+// from the same event as the original pause, and every downstream
+// decision — issue-jitter draws, server queue order, TCP dynamics —
+// replays identically.
 //
 // The contract's fine print: blocking applications (queue depth <= 1, all
 // the built-in scenarios) replay exactly, as do pipelined (QD > 1)
-// single-burst applications and pipelined programs whose I/O phases are
+// one-burst programs and pipelined programs whose I/O phases are
 // separated by barrier phases (the barrier records delimit each burst's
 // semaphore window). A pipelined program with back-to-back unbarriered I/O
 // phases replays with one merged semaphore window per barrier-delimited
@@ -30,7 +31,8 @@
 // Replaying on a modified platform (ReplayOn — a different backend, a QoS
 // scheduler enabled) is deliberately counterfactual: timings then answer
 // "what would this recorded workload have seen", and the bit-identity
-// guarantee does not apply.
+// guarantee does not apply. A trace recorded under a fault plan does not
+// replay at all (see ReplayOn).
 package trace
 
 import (
@@ -144,11 +146,7 @@ func RecordRun(cfg cluster.Config, apps []core.AppSpec) (*Trace, core.RunResult)
 	// a single allocation on the record path.
 	n := 0
 	for _, a := range apps {
-		if a.Program != nil {
-			n += a.Procs * (a.Program.Requests() + a.Program.Barriers())
-		} else {
-			n += a.Procs * a.Workload.Requests()
-		}
+		n += a.Procs * (a.Program.Requests() + a.Program.Barriers())
 	}
 	rec.Reserve(n)
 	x.Platform.FS.Sink = rec
@@ -162,7 +160,7 @@ func RecordRun(cfg cluster.Config, apps []core.AppSpec) (*Trace, core.RunResult)
 			PPN:           a.ProcsPerNode,
 			TargetServers: a.TargetServers,
 			Stripe:        a.Stripe,
-			QD:            appQD(a),
+			QD:            a.Program.MaxQD(),
 			Start:         a.Start,
 			PhaseStart:    res.Apps[i].Start,
 			PhaseEnd:      res.Apps[i].End,
@@ -170,14 +168,6 @@ func RecordRun(cfg cluster.Config, apps []core.AppSpec) (*Trace, core.RunResult)
 		})
 	}
 	return t, res
-}
-
-// appQD returns the queue depth the replayer must honor for one app.
-func appQD(a core.AppSpec) int {
-	if a.Program != nil {
-		return a.Program.MaxQD()
-	}
-	return a.Workload.QD
 }
 
 // Validate checks the trace for structural consistency: a present header,

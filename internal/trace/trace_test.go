@@ -25,8 +25,8 @@ func testCfg() cluster.Config {
 
 // checkpointProgram is a 3-iteration periodic checkpoint: collective entry
 // barrier, contiguous burst, fixed compute pause.
-func checkpointProgram(block int64) *workload.Program {
-	return &workload.Program{
+func checkpointProgram(block int64) workload.Program {
+	return workload.Program{
 		Iterations: 3,
 		Phases: []workload.Phase{
 			{Kind: workload.PhaseBarrier},
@@ -82,7 +82,7 @@ func TestRoundTripBlocking(t *testing.T) {
 		{Name: "ckpt", Procs: 8, FirstNode: 0, ProcsPerNode: 4,
 			Program: checkpointProgram(1 << 20)},
 		{Name: "bulk", Procs: 4, FirstNode: 2, ProcsPerNode: 4,
-			Workload: workload.Spec{Pattern: workload.Contiguous, BlockBytes: 2 << 20}},
+			Program: workload.Single(workload.Spec{Pattern: workload.Contiguous, BlockBytes: 2 << 20})},
 	}
 	tr, _ := roundTrip(t, cfg, apps)
 	// The checkpoint app must have emitted its barrier records.
@@ -101,10 +101,10 @@ func TestRoundTripPipelined(t *testing.T) {
 	cfg := testCfg()
 	apps := []core.AppSpec{
 		{Name: "pipe", Procs: 4, FirstNode: 0, ProcsPerNode: 4,
-			Workload: workload.Spec{Pattern: workload.Strided, BlockBytes: 2 << 20,
-				TransferSize: 256 << 10, QD: 4}},
+			Program: workload.Single(workload.Spec{Pattern: workload.Strided, BlockBytes: 2 << 20,
+				TransferSize: 256 << 10, QD: 4})},
 		{Name: "other", Procs: 4, FirstNode: 1, ProcsPerNode: 4,
-			Workload: workload.Spec{Pattern: workload.Contiguous, BlockBytes: 1 << 20}},
+			Program: workload.Single(workload.Spec{Pattern: workload.Contiguous, BlockBytes: 1 << 20})},
 	}
 	roundTrip(t, cfg, apps)
 }
@@ -113,8 +113,8 @@ func TestRoundTripPipelined(t *testing.T) {
 // program: the seeded jitter stream reproduces, so the replay does too.
 func TestRoundTripJitter(t *testing.T) {
 	cfg := testCfg()
-	bursty := func(seed uint64) *workload.Program {
-		return &workload.Program{
+	bursty := func(seed uint64) workload.Program {
+		return workload.Program{
 			Iterations: 3,
 			Phases: []workload.Phase{
 				{Kind: workload.PhaseCompute, Compute: int64(5 * sim.Millisecond),
@@ -149,7 +149,7 @@ func TestProgramDeterminism(t *testing.T) {
 	cfg := testCfg()
 	apps := []core.AppSpec{
 		{Name: "t1", Procs: 4, FirstNode: 0, ProcsPerNode: 4,
-			Program: &workload.Program{
+			Program: workload.Program{
 				Iterations: 2,
 				Phases: []workload.Phase{
 					{Kind: workload.PhaseCompute, Compute: int64(sim.Millisecond), JitterMean: int64(10 * sim.Millisecond)},
@@ -177,7 +177,7 @@ func TestReplayCounterfactual(t *testing.T) {
 		{Name: "ckpt", Procs: 8, FirstNode: 0, ProcsPerNode: 4,
 			Program: checkpointProgram(1 << 20)},
 		{Name: "bulk", Procs: 4, FirstNode: 2, ProcsPerNode: 4,
-			Workload: workload.Spec{Pattern: workload.Contiguous, BlockBytes: 2 << 20}},
+			Program: workload.Single(workload.Spec{Pattern: workload.Contiguous, BlockBytes: 2 << 20})},
 	}
 	tr, _ := trace.RecordRun(cfg, apps)
 	qcfg := cfg

@@ -15,6 +15,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/scenario"
 )
 
 // newTestServer starts a service plus an httptest front end; both are torn
@@ -232,6 +234,13 @@ func TestServerBadRequests(t *testing.T) {
 		"apps": []map[string]any{{"procs": 1, "block_mb": 1}},
 	})
 	shardSpec := strings.Replace(string(spec), "{", `{"shards":4,`, 1)
+	// A trace recorded under a fault plan holds one record per failed
+	// attempt; it is refused before any arm builds a platform.
+	crash, err := scenario.Lookup("server-crash-checkpoint")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted := recordTrace(t, crash.Smoke())
 	cases := []struct {
 		name, path, body string
 		mention          string // the error must name this, when set
@@ -249,6 +258,7 @@ func TestServerBadRequests(t *testing.T) {
 		{"garbage trace", "/v1/whatif/trace", "not a trace", ""},
 		{"bad trace arm", "/v1/whatif/trace?arms=nope", "IOTRACE1", ""},
 		{"bad wait", "/v1/whatif/trace?wait=maybe", "IOTRACE1", ""},
+		{"faulted trace", "/v1/whatif/trace", string(faulted), "fault plan"},
 	}
 	for _, tc := range cases {
 		resp, out := postJSON(t, ts.URL+tc.path, []byte(tc.body))

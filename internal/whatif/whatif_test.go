@@ -26,9 +26,12 @@ func tinySpec() scenario.Spec {
 
 // recordTinyTrace records tinySpec's δ=0 co-run and returns the IOTRACE1
 // bytes.
-func recordTinyTrace(t *testing.T) []byte {
+func recordTinyTrace(t *testing.T) []byte { return recordTrace(t, tinySpec()) }
+
+// recordTrace records s's δ=0 co-run on HDD and returns the IOTRACE1 bytes.
+func recordTrace(t *testing.T, s scenario.Spec) []byte {
 	t.Helper()
-	tr, _, err := scenario.Record(tinySpec(), cluster.HDD)
+	tr, _, err := scenario.Record(s, cluster.HDD)
 	if err != nil {
 		t.Fatalf("recording trace: %v", err)
 	}

@@ -163,6 +163,6 @@ func (pr *Program) Barriers() int {
 }
 
 // Single wraps a one-shot Spec into the equivalent one-phase program.
-func Single(s Spec) *Program {
-	return &Program{Phases: []Phase{{Kind: PhaseIO, IO: s}}}
+func Single(s Spec) Program {
+	return Program{Phases: []Phase{{Kind: PhaseIO, IO: s}}}
 }

@@ -64,7 +64,7 @@ func TestSingle(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if p.TotalBytes(4) != s.TotalBytes(4) || p.MaxQD() != 2 {
+	if p.TotalBytes(4) != 4*s.BlockBytes || p.MaxQD() != 2 {
 		t.Fatal("Single does not preserve the spec")
 	}
 }

@@ -99,9 +99,6 @@ func (s Spec) Plan(rank, nprocs int) []Extent {
 	panic("workload: unknown pattern")
 }
 
-// TotalBytes returns the bytes one application writes (all processes).
-func (s Spec) TotalBytes(nprocs int) int64 { return s.BlockBytes * int64(nprocs) }
-
 // FileBytes returns the size of the shared file the pattern covers.
 func (s Spec) FileBytes(nprocs int) int64 { return s.BlockBytes * int64(nprocs) }
 

@@ -75,8 +75,8 @@ func TestContiguousTilesFileExactly(t *testing.T) {
 		}
 		cur += e.Size
 	}
-	if cur != s.TotalBytes(nprocs) {
-		t.Fatalf("covered %d, want %d", cur, s.TotalBytes(nprocs))
+	if cur != s.FileBytes(nprocs) {
+		t.Fatalf("covered %d, want %d", cur, s.FileBytes(nprocs))
 	}
 }
 
